@@ -182,23 +182,51 @@ PrecondAB run_precond_ab(std::size_t grid) {
 /// certifies the ladder's cross-thread bit-identity.  The headline claims
 /// — identical winners, >= 60% fewer full-resolution solves, >= 2x
 /// end-to-end — are serial-work claims, so both sides of the speedup are
-/// the 1-thread walls.
+/// the 1-thread walls.  Metrics stay on for the whole A/B (both sides pay
+/// the same span overhead), and the 1-thread ladder run's wall time is
+/// split per rung: inclusive `eval.rung2` (medium) and `eval.thermal`
+/// (full) span time.
+struct RungTime {
+  double wall_s = 0.0;
+  std::size_t calls = 0;
+};
+
 struct LadderAB {
   double full_wall_s = 0.0;
   double ladder_wall_s = 0.0;  // at 1 thread
   EvalStats full_stats;
   EvalStats ladder_stats;
+  RungTime medium_rung;  // 1-thread ladder run
+  RungTime full_rung;    // 1-thread ladder run
   double solve_reduction = 0.0;
   double speedup = 0.0;
   bool winner_match = false;
   bool bit_identical = false;
 };
 
+/// Current `span.<site>.total_s` / `.calls` counters of one span site.
+RungTime span_totals(const std::string& site) {
+  RungTime t;
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  for (const auto& [name, v] : snap.counters) {
+    if (name == "span." + site + ".total_s") t.wall_s = v;
+    if (name == "span." + site + ".calls")
+      t.calls = static_cast<std::size_t>(v);
+  }
+  return t;
+}
+
+RungTime operator-(const RungTime& a, const RungTime& b) {
+  return RungTime{a.wall_s - b.wall_s, a.calls - b.calls};
+}
+
 LadderAB run_ladder_ab(std::size_t grid, const std::vector<std::string>& names,
                        const std::vector<std::size_t>& counts,
                        RunHealth* health) {
   constexpr double kPaperStep = 0.5;
   LadderAB out;
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
   ThreadPool::set_global_threads(1);
   std::cerr << "[micro_eval_engine] ladder A/B: full reference (step "
             << kPaperStep << ")...\n";
@@ -214,10 +242,14 @@ LadderAB run_ladder_ab(std::size_t grid, const std::vector<std::string>& names,
     ThreadPool::set_global_threads(counts[i]);
     std::cerr << "[micro_eval_engine] ladder A/B: ladder, threads="
               << counts[i] << "...\n";
+    const RungTime medium0 = span_totals("eval.rung2");
+    const RungTime full0 = span_totals("eval.thermal");
     const E2eRun lad =
         run_e2e(grid, names, FidelityMode::kLadder, kPaperStep);
     *health += lad.stats.health;
     if (i == 0) {
+      out.medium_rung = span_totals("eval.rung2") - medium0;
+      out.full_rung = span_totals("eval.thermal") - full0;
       fp0 = lad.fingerprint;
       out.ladder_wall_s = lad.wall_s;
       out.ladder_stats = lad.stats;
@@ -226,6 +258,7 @@ LadderAB run_ladder_ab(std::size_t grid, const std::vector<std::string>& names,
       out.bit_identical = out.bit_identical && lad.fingerprint == fp0;
     }
   }
+  obs::set_metrics_enabled(metrics_were_on);
   out.solve_reduction =
       1.0 - static_cast<double>(out.ladder_stats.solves) /
                 static_cast<double>(std::max<std::size_t>(1, full.stats.solves));
@@ -610,14 +643,12 @@ int main(int argc, char** argv) {
      << "    \"rejected\": " << lab.ladder_stats.ladder.rejected << ",\n"
      << "    \"promoted\": " << lab.ladder_stats.ladder.promoted << ",\n"
      << "    \"audits\": " << lab.ladder_stats.ladder.audits << ",\n"
-     << "    \"surrogate_fits\": " << lab.ladder_stats.ladder.surrogate_fits
-     << ",\n"
-     << "    \"surrogate_scores\": "
-     << lab.ladder_stats.ladder.surrogate_scores << ",\n"
-     << "    \"coarse_solves\": " << lab.ladder_stats.ladder.coarse_solves
-     << ",\n"
      << "    \"medium_solves\": " << lab.ladder_stats.ladder.medium_solves
      << ",\n"
+     << "    \"rungs\": {\"medium\": {\"wall_s\": "
+     << fmt(lab.medium_rung.wall_s) << ", \"calls\": " << lab.medium_rung.calls
+     << "}, \"full\": {\"wall_s\": " << fmt(lab.full_rung.wall_s)
+     << ", \"calls\": " << lab.full_rung.calls << "}},\n"
      << "    \"full_solve_reduction\": " << fmt(lab.solve_reduction) << ",\n"
      << "    \"e2e_speedup_vs_full\": " << fmt(lab.speedup) << ",\n"
      << "    \"winner_match\": " << (lab.winner_match ? "true" : "false")

@@ -71,21 +71,15 @@ struct FaultPlan {
   /// higher epoch, and the woken zombie's publish must be fenced off.
   std::uint64_t lease_stall_ms = 0;
 
-  /// Force the fidelity ladder's coarse-rung screening solve to fail on
-  /// this 0-based coarse-solve index / on every Nth coarse solve (0 =
-  /// off).  Coarse solves have their own ledger clock (SolveLedger::
-  /// coarse_index) so these faults never shift the full-solve indices the
-  /// knobs above target.  A failed coarse rung is not an error: the
-  /// Evaluator promotes the candidate to the next rung, where the full
-  /// solve's recovery ladder applies as usual.
-  std::size_t coarse_fail_at = kNever;
-  std::size_t coarse_fail_every = 0;
-
-  bool enabled() const {
-    return pcg_fail_at != kNever || pcg_fail_every != 0 ||
-           nan_rhs_at != kNever || leak_force_nonconverge ||
-           coarse_fail_at != kNever || coarse_fail_every != 0;
-  }
+  /// Force the fidelity ladder's medium-rung screening solves to fail —
+  /// past the whole recovery ladder — on this 0-based screening-solve
+  /// index / on every Nth screening solve (0 = off).  Screening solves
+  /// have their own clock (the Evaluator's medium-model SolveLedger), so
+  /// these faults never shift the full-solve indices the knobs above
+  /// target.  A failed screening solve is not an error: the Evaluator
+  /// promotes the candidate to the full evaluation.
+  std::size_t screen_fail_at = kNever;
+  std::size_t screen_fail_every = 0;
 
   /// Any worker-level (fabric) fault armed?
   bool worker_faults_enabled() const {
@@ -106,13 +100,6 @@ struct FaultPlan {
   /// Should solve `solve_index` receive a NaN right-hand side?
   bool nan_rhs(std::size_t solve_index) const {
     return solve_index == nan_rhs_at;
-  }
-
-  /// Should coarse-rung screening solve `coarse_index` be forced to fail?
-  bool coarse_should_fail(std::size_t coarse_index) const {
-    return coarse_index == coarse_fail_at ||
-           (coarse_fail_every != 0 &&
-            coarse_index % coarse_fail_every == coarse_fail_every - 1);
   }
 };
 

@@ -118,10 +118,6 @@ struct RunHealth {
 /// thread count.  A standalone ThermalModel falls back to a private ledger.
 struct SolveLedger {
   std::size_t solve_index = 0;  ///< next steady-state solve's 0-based index
-  /// Next coarse-rung screening solve's 0-based index (the fidelity
-  /// ladder's own fault clock — kept separate so screening never shifts
-  /// the full-solve indices FaultPlan::pcg_fail_at targets).
-  std::size_t coarse_index = 0;
   RunHealth health;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/errors.hpp"
@@ -48,12 +47,11 @@ Evaluator::Evaluator(EvalConfig config) : config_(std::move(config)) {
   const double chip_area =
       config_.spec.chip_edge_mm() * config_.spec.chip_edge_mm();
   cost_2d_ = single_chip_cost(chip_area, config_.cost);
-  // Resolve kAuto once, at construction: the ladder needs a grid with a
-  // meaningful Galerkin coarse level for rung 1 to pay off.
+  // Resolve kAuto once, at construction: the ladder is exactly its medium
+  // rung, so it is on whenever that rung can be built.
   if (config_.ladder.mode == FidelityMode::kAuto)
-    config_.ladder.mode = config_.thermal.grid_nx >= 16
-                              ? FidelityMode::kLadder
-                              : FidelityMode::kFull;
+    config_.ladder.mode =
+        medium_available() ? FidelityMode::kLadder : FidelityMode::kFull;
 }
 
 int Evaluator::bench_index(const BenchmarkProfile& bench) const {
@@ -165,10 +163,9 @@ const ThermalEval& Evaluator::thermal_eval(const Organization& org,
     frontier_[FrontierKey{key.layout, org.active_cores}].emplace_back(
         reference_power(org, bench), ev.peak_c);
 
-  // Ladder bookkeeping: close out any pending rung estimates for this
-  // candidate (they calibrate the rungs' residual bounds) and feed the
-  // rung-0 surrogate one training sample.
-  if (ladder_active()) record_full_result(key, org, bench, ev, lr.converged);
+  // Ladder bookkeeping: close out any pending medium-rung estimate for
+  // this candidate (it calibrates the rung's residual bounds).
+  if (ladder_active()) record_full_result(key, ev);
 
   return eval_memo_.emplace(key, ev).first->second;
 }
@@ -327,9 +324,10 @@ const BaselinePoint& Evaluator::baseline_2d(const BenchmarkProfile& bench,
   best.feasible = false;  // explicit: stays infeasible if nothing fits
   for (const Cand& c : cands) {
     Organization org{1, {}, c.f, c.p};
-    // Fidelity ladder: skip candidates a calibrated rung confidently puts
-    // above the threshold — the same verdict (infeasible → next candidate)
-    // the full walk would reach, minus the leakage fixed point.
+    // Fidelity ladder: skip candidates the calibrated medium rung
+    // confidently puts above the threshold — the same verdict (infeasible
+    // → next candidate) the full walk would reach, minus the leakage fixed
+    // point.
     if (screen_infeasible(org, bench, threshold_c)) continue;
     if (feasible(org, bench, threshold_c)) {
       best.dvfs_idx = c.f;
@@ -347,40 +345,16 @@ const BaselinePoint& Evaluator::baseline_2d(const BenchmarkProfile& bench,
 
 // --- Fidelity ladder ---------------------------------------------------
 
-std::array<double, kSurrogateFeatures> Evaluator::features_of(
-    const Organization& org, const BenchmarkProfile& bench) const {
-  return PeakSurrogate::features(org.n_chiplets, org.spacing.s1,
-                                 org.spacing.s2, org.spacing.s3,
-                                 level_of(org).freq_mhz, org.active_cores,
-                                 reference_power(org, bench));
-}
-
-int Evaluator::rung_verdict(int rung, const EvalKey& key, double est_c,
-                            double reject_above_c) const {
-  const auto it = calib_.find(RungKey{rung, key.bench_idx, key.layout.n});
+bool Evaluator::rung_verdict(const EvalKey& key, double est_c,
+                             double reject_above_c) const {
+  const auto it = calib_.find(RungKey{key.bench_idx, key.layout.n});
   if (it == calib_.end() || it->second.count < config_.ladder.min_calibration)
-    return 0;  // uncalibrated: this rung has no opinion yet
-  const ResidBound& b = it->second;
-  const double margin = config_.ladder.safety_margin_c;
-  // Early promotion: even the most pessimistic calibrated residual keeps
-  // the candidate clear of the rejection threshold, so no higher rung
-  // could reject it — skip them.  This direction is winner-safe even when
-  // extrapolated (a missed reject costs time, never correctness), so the
-  // global max_resid suffices.
-  if (est_c + b.max_resid + margin <= reject_above_c) return -1;
-  // Rejection: min_resid is the most optimistic full − estimate seen
-  // out-of-sample; even if this estimate errs as far low as any before
-  // it, the candidate still clears the threshold by the safety margin.
-  // The statistical rungs (surrogate, coarse) additionally require the
-  // estimate to sit inside the calibrated band — their bias drifts with
-  // operating point, and extrapolating the bound is how feasible
-  // candidates get wrongly screened out.  The medium rung's
-  // discretization bias is small and stable, so it rejects globally.
-  const bool in_band = est_c >= b.est_lo && est_c <= b.est_hi;
-  if ((rung == 2 || in_band) &&
-      est_c + b.min_resid - margin > reject_above_c)
-    return 1;
-  return 0;
+    return false;  // uncalibrated: the rung has no opinion yet
+  // min_resid is the most optimistic full − estimate seen out-of-sample;
+  // even if this estimate errs as far low as any before it, the candidate
+  // still clears the threshold by the safety margin.
+  return est_c + it->second.min_resid - config_.ladder.safety_margin_c >
+         reject_above_c;
 }
 
 bool Evaluator::medium_available() {
@@ -394,10 +368,16 @@ bool Evaluator::medium_available() {
       medium_thermal_->grid_nx = nx;
       medium_thermal_->grid_ny = ny;
       // Screening solves keep their own clean fault clock: the plan's
-      // pcg_fail_* indices target the full path, coarse_fail_* targets
-      // rung 1.  (The cancel token is inherited — screening must stay
+      // pcg_fail_* indices target the full path; screen_fail_* becomes
+      // a whole-recovery-ladder failure on the medium ledger's own solve
+      // index.  (The cancel token is inherited — screening must stay
       // responsive to batch shutdown.)
-      medium_thermal_->solve.fault = FaultPlan{};
+      const FaultPlan& plan = config_.thermal.solve.fault;
+      FaultPlan screen;
+      screen.pcg_fail_at = plan.screen_fail_at;
+      screen.pcg_fail_every = plan.screen_fail_every;
+      screen.pcg_fail_rungs = 4;
+      medium_thermal_->solve.fault = screen;
     }
   }
   return medium_thermal_.has_value();
@@ -461,10 +441,7 @@ std::optional<double> Evaluator::medium_estimate(const EvalKey& key,
     if (span.active()) span.arg("est_c", lr.peak_c);
     if (!lr.converged) return std::nullopt;
     medium_memo_.emplace(key, lr.peak_c);
-    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-    pending_est_
-        .try_emplace(key, std::array<double, 3>{kNaN, kNaN, kNaN})
-        .first->second[2] = lr.peak_c;
+    pending_est_[key] = lr.peak_c;
     return lr.peak_c;
   } catch (const Error&) {
     ++ladder_stats_.medium_failures;
@@ -478,86 +455,26 @@ bool Evaluator::screen_infeasible(const Organization& org,
   if (!ladder_active()) return false;
   const EvalKey key{LayoutKey::of(org), bench_index(bench), org.dvfs_idx,
                     org.active_cores};
-  // An exact memoized answer beats every rung (and costs nothing).  Only
+  // An exact memoized answer beats the rung (and costs nothing).  Only
   // converged results reject — same discipline as the frontier.
   if (auto it = eval_memo_.find(key); it != eval_memo_.end())
     return it->second.leak_converged && it->second.peak_c > reject_above_c;
 
   ++ladder_stats_.screened;
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  const auto pit =
-      pending_est_.try_emplace(key, std::array<double, 3>{kNaN, kNaN, kNaN})
-          .first;
-
-  // A confident reject at any rung lands here; the keep-frac audit
-  // promotes a deterministic fraction of rejects anyway so the
-  // calibration bounds keep being tested against full results.
-  const auto reject_verdict = [&]() {
-    if (audit_due()) {
-      ++ladder_stats_.audits;
-      ++ladder_stats_.promoted;
-      return false;  // pending estimates stay; the full eval closes them
+  // Full leakage fixed point on a half-resolution model (separate cache
+  // and ledger; never ticks the full path's solve clock).  A confident
+  // reject is subject to the keep-frac audit, which promotes a
+  // deterministic fraction of rejects anyway so the calibration bounds
+  // keep being tested against full results.
+  bool fresh = false;
+  if (const auto est = medium_estimate(key, org, bench, &fresh);
+      est && rung_verdict(key, *est, reject_above_c)) {
+    if (!audit_due()) {
+      ++ladder_stats_.rejected;
+      return true;
     }
-    ++ladder_stats_.rejected;
-    return true;
-  };
-
-  // Rung 0: trained surrogate (sub-microsecond).
-  if (auto sit = surrogates_.find(key.bench_idx);
-      sit != surrogates_.end() && sit->second.ready()) {
-    static obs::SpanSite r0_site("eval.rung0", "eval");
-    obs::TraceSpan span(r0_site);
-    const std::size_t fits_before = sit->second.fit_count();
-    const double est = sit->second.predict(features_of(org, bench));
-    ladder_stats_.surrogate_fits += sit->second.fit_count() - fits_before;
-    ++ladder_stats_.surrogate_scores;
-    if (span.active()) span.arg("est_c", est);
-    pit->second[0] = est;
-    const int v = rung_verdict(0, key, est, reject_above_c);
-    if (v > 0) return reject_verdict();
-    if (v < 0) {
-      ++ladder_stats_.promoted;
-      return false;  // clearly cool: skip the solve rungs entirely
-    }
+    ++ladder_stats_.audits;
   }
-
-  // Rung 1: one Jacobi-PCG solve on the multigrid hierarchy's first
-  // Galerkin coarse operator (reuses the full model's assembly).  Any
-  // failure — including an injected FaultPlan::coarse_fail_* — promotes.
-  {
-    static obs::SpanSite r1_site("eval.rung1", "eval");
-    obs::TraceSpan span(r1_site);
-    try {
-      const std::shared_ptr<ModelEntry> entry = model_for(org);
-      const std::vector<int> active =
-          active_tiles(config_.policy, org.active_cores, config_.spec);
-      const PowerMap pm =
-          build_power_map(*entry->layout, bench, level_of(org), active,
-                          std::nullopt, config_.power);
-      const double est = entry->model->coarse_peak_estimate(pm);
-      ++ladder_stats_.coarse_solves;
-      if (span.active()) span.arg("est_c", est);
-      pit->second[1] = est;
-      const int v = rung_verdict(1, key, est, reject_above_c);
-      if (v > 0) return reject_verdict();
-      if (v < 0) {
-        ++ladder_stats_.promoted;
-        return false;  // clearly cool: the medium rung cannot reject it
-      }
-    } catch (const Error&) {
-      ++ladder_stats_.coarse_failures;
-    }
-  }
-
-  // Rung 2: full leakage fixed point on a half-resolution model (separate
-  // cache and ledger; never ticks the full path's solve clock).
-  {
-    bool fresh = false;
-    if (const auto est = medium_estimate(key, org, bench, &fresh);
-        est && rung_verdict(2, key, *est, reject_above_c) > 0)
-      return reject_verdict();
-  }
-
   ++ladder_stats_.promoted;
   return false;
 }
@@ -601,8 +518,7 @@ Evaluator::WalkEval Evaluator::walk_eval(const Organization& org,
       wit != walk_calib_.end() &&
       wit->second.count >= config_.ladder.min_calibration)
     bp = &wit->second;
-  else if (const auto cit =
-               calib_.find(RungKey{2, key.bench_idx, key.layout.n});
+  else if (const auto cit = calib_.find(RungKey{key.bench_idx, key.layout.n});
            cit != calib_.end() &&
            cit->second.count >= config_.ladder.min_calibration)
     bp = &cit->second;
@@ -632,39 +548,21 @@ Evaluator::WalkEval Evaluator::walk_eval(const Organization& org,
                   0.5 * (b.max_resid - b.min_resid), false, false};
 }
 
-void Evaluator::record_full_result(const EvalKey& key, const Organization& org,
-                                   const BenchmarkProfile& bench,
-                                   const ThermalEval& ev, bool converged) {
-  if (const auto pit = pending_est_.find(key); pit != pending_est_.end()) {
-    if (converged) {
-      for (int rung = 0; rung < 3; ++rung) {
-        const double est = pit->second[static_cast<std::size_t>(rung)];
-        if (!std::isfinite(est)) continue;
-        const double resid = ev.peak_c - est;
-        const auto absorb = [&](ResidBound& cb) {
-          cb.min_resid = cb.count == 0 ? resid : std::min(cb.min_resid, resid);
-          cb.max_resid = cb.count == 0 ? resid : std::max(cb.max_resid, resid);
-          cb.est_lo = cb.count == 0 ? est : std::min(cb.est_lo, est);
-          cb.est_hi = cb.count == 0 ? est : std::max(cb.est_hi, est);
-          ++cb.count;
-        };
-        absorb(calib_[RungKey{rung, key.bench_idx, key.layout.n}]);
-        if (rung == 2)
-          absorb(walk_calib_[WalkKey{key.bench_idx, key.layout.n,
-                                     key.dvfs_idx, key.p}]);
-        if (rung == 0 && obs::metrics_enabled()) {
-          static obs::Histogram err = obs::MetricsRegistry::global().histogram(
-              "ladder.surrogate_error_c", obs::pow2_edges(0.25, 16.0));
-          err.observe(std::abs(resid));
-        }
-      }
-    }
-    pending_est_.erase(pit);
+void Evaluator::record_full_result(const EvalKey& key, const ThermalEval& ev) {
+  const auto pit = pending_est_.find(key);
+  if (pit == pending_est_.end()) return;
+  if (ev.leak_converged) {
+    const double resid = ev.peak_c - pit->second;
+    const auto absorb = [&](ResidBound& cb) {
+      cb.min_resid = cb.count == 0 ? resid : std::min(cb.min_resid, resid);
+      cb.max_resid = cb.count == 0 ? resid : std::max(cb.max_resid, resid);
+      ++cb.count;
+    };
+    absorb(calib_[RungKey{key.bench_idx, key.layout.n}]);
+    absorb(walk_calib_[WalkKey{key.bench_idx, key.layout.n, key.dvfs_idx,
+                               key.p}]);
   }
-  if (converged)
-    surrogates_
-        .try_emplace(key.bench_idx, 1e-3, config_.ladder.surrogate_min_samples)
-        .first->second.add(features_of(org, bench), ev.peak_c);
+  pending_est_.erase(pit);
 }
 
 }  // namespace tacos

@@ -22,7 +22,6 @@
 /// paper's greedy-vs-exhaustive cost comparison (§III-D: 400× fewer
 /// simulations).
 
-#include <array>
 #include <limits>
 #include <list>
 #include <map>
@@ -34,7 +33,6 @@
 #include "alloc/policy.hpp"
 #include "common/run_health.hpp"
 #include "core/organization.hpp"
-#include "core/surrogate.hpp"
 #include "cost/cost_model.hpp"
 #include "materials/stack.hpp"
 #include "perf/ips_model.hpp"
@@ -45,10 +43,11 @@ namespace tacos {
 
 /// Evaluation fidelity selector (CLI `--fidelity=`).  kFull evaluates
 /// every candidate with the full leakage fixed point (the historical
-/// behavior).  kLadder screens candidates through the multi-fidelity
-/// ladder first (surrogate → coarse Galerkin solve → medium grid → full);
-/// kAuto resolves at Evaluator construction to kLadder when the grid is
-/// large enough for coarse screening to pay off (nx ≥ 16), else kFull.
+/// behavior).  kLadder screens candidates on a half-resolution (medium)
+/// model first and promotes the rest to the full evaluation; kAuto
+/// resolves at Evaluator construction to kLadder exactly when the medium
+/// rung is available (both half-resolution edges ≥
+/// LadderOptions::medium_grid_min — grid ≥ 16 at defaults), else kFull.
 enum class FidelityMode { kAuto, kFull, kLadder };
 
 const char* fidelity_mode_name(FidelityMode m);
@@ -56,30 +55,30 @@ std::optional<FidelityMode> parse_fidelity_mode(std::string_view s);
 
 /// Fidelity-ladder knobs (EvalConfig::ladder).  The ladder is a *screen*:
 /// it may only reject candidates the full path would also reject, and any
-/// doubt promotes the candidate to the next rung (ultimately the full
-/// solve).  Confidence is empirical: a rung's estimate only rejects once
-/// `min_calibration` (estimate, full) pairs have been observed for that
-/// (rung, benchmark, chiplet count) and the *most optimistic* observed
-/// residual, minus `safety_margin_c`, still puts the candidate above the
-/// rejection threshold.  Cold start (no calibration data, no trained
-/// surrogate) therefore promotes everything — bit-identical to kFull.
+/// doubt promotes the candidate to the full solve.  Confidence is
+/// empirical: a medium-rung estimate only rejects once `min_calibration`
+/// (estimate, full) pairs have been observed for that (benchmark, chiplet
+/// count) and the *most optimistic* observed residual, minus
+/// `safety_margin_c`, still puts the candidate above the rejection
+/// threshold.  Cold start (no calibration data) therefore promotes
+/// everything — bit-identical to kFull.
 struct LadderOptions {
   FidelityMode mode = FidelityMode::kFull;
   /// Fraction of confident rejects promoted anyway (deterministic integer
   /// schedule, no RNG) as a continuing audit of the calibration bounds.
   double keep_frac = 0.0;
-  /// (estimate, full-result) pairs required per (rung, bench, n) before a
-  /// rung's estimates may reject.
+  /// (estimate, full-result) pairs required per (bench, n) before the
+  /// medium rung's estimates may reject.
   int min_calibration = 5;
   /// Extra headroom (°C) on top of the calibrated residual bound.
   double safety_margin_c = 1.0;
-  /// Training samples before the rung-0 surrogate scores candidates.
-  std::size_t surrogate_min_samples = 8;
-  /// Rung 2 uses a half-resolution model; below this edge it is skipped.
+  /// The medium rung uses a half-resolution model; below this edge it is
+  /// unavailable (and kAuto resolves to kFull).
   std::size_t medium_grid_min = 8;
-  /// Leakage fixed-point tolerance (°C) for rung-2 estimates.  Looser than
-  /// the full path's: the unconverged tail is a smooth bias the residual
-  /// calibration absorbs, and it saves ~2 medium solves per estimate.
+  /// Leakage fixed-point tolerance (°C) for medium-rung estimates.  Looser
+  /// than the full path's: the unconverged tail is a smooth bias the
+  /// residual calibration absorbs, and it saves ~2 medium solves per
+  /// estimate.
   double medium_leak_tol_c = 0.25;
 };
 
@@ -88,16 +87,17 @@ struct LadderOptions {
 /// as exactly one of rejected / promoted (audited rejects count as
 /// promoted, plus audits).
 struct LadderStats {
-  std::size_t screened = 0;          ///< candidates entering the ladder
-  std::size_t rejected = 0;          ///< screened out (no full evaluation)
-  std::size_t promoted = 0;          ///< passed through to the full path
-  std::size_t audits = 0;            ///< keep-frac audits (subset of promoted)
-  std::size_t surrogate_scores = 0;  ///< rung-0 predictions made
-  std::size_t surrogate_fits = 0;    ///< rung-0 model refits
-  std::size_t coarse_solves = 0;     ///< rung-1 coarse Galerkin solves
-  std::size_t coarse_failures = 0;   ///< rung-1 failures (promoted past)
-  std::size_t medium_solves = 0;     ///< rung-2 medium-grid solves
-  std::size_t medium_failures = 0;   ///< rung-2 failures (promoted past)
+  std::size_t screened = 0;         ///< candidates entering the ladder
+  std::size_t rejected = 0;         ///< screened out (no full evaluation)
+  std::size_t promoted = 0;         ///< passed through to the full path
+  std::size_t audits = 0;           ///< keep-frac audits (subset of promoted)
+  std::size_t medium_solves = 0;    ///< medium-grid solves
+  std::size_t medium_failures = 0;  ///< medium-rung failures (promoted past)
+  /// Counters of the retired surrogate and coarse-solve rungs: always
+  /// zero.  Kept for readers of the old counter set (perfbench's
+  /// `ladder.surrogate_scores` / `ladder.coarse_solves`).
+  std::size_t surrogate_scores = 0;
+  std::size_t coarse_solves = 0;
 
   bool any() const { return screened != 0; }
 
@@ -106,10 +106,6 @@ struct LadderStats {
     rejected += o.rejected;
     promoted += o.promoted;
     audits += o.audits;
-    surrogate_scores += o.surrogate_scores;
-    surrogate_fits += o.surrogate_fits;
-    coarse_solves += o.coarse_solves;
-    coarse_failures += o.coarse_failures;
     medium_solves += o.medium_solves;
     medium_failures += o.medium_failures;
     return *this;
@@ -229,16 +225,16 @@ class Evaluator {
   const BaselinePoint& baseline_2d(const BenchmarkProfile& bench,
                                    double threshold_c);
 
-  /// Fidelity-ladder screen: true when the ladder is on and a calibrated
-  /// lower-fidelity rung concludes — with margin — that `org`'s peak
-  /// exceeds `reject_above_c`, so the caller may skip the candidate
-  /// without a full evaluation.  False means "not confidently rejectable":
+  /// Fidelity-ladder screen: true when the ladder is on and the calibrated
+  /// medium rung concludes — with margin — that `org`'s peak exceeds
+  /// `reject_above_c`, so the caller may skip the candidate without a
+  /// full evaluation.  False means "not confidently rejectable":
   /// callers MUST then take exactly the path they would have taken without
   /// the ladder (same solves, same RNG draws) — that promotion discipline
-  /// is what makes the ladder winner-invariant.  In kFull mode (and for
-  /// memoized candidates the full path already rejected exactly) this is
-  /// a no-op returning the exact verdict.  Never throws for rung failures:
-  /// a failed coarse or medium solve just promotes.
+  /// is what keeps a screened decision the one the full path would make.
+  /// In kFull mode (and for memoized candidates the full path already
+  /// rejected exactly) this is a no-op returning the exact verdict.  Never
+  /// throws for rung failures: a failed medium solve just promotes.
   bool screen_infeasible(const Organization& org,
                          const BenchmarkProfile& bench,
                          double reject_above_c);
@@ -255,8 +251,11 @@ class Evaluator {
   /// deduction, never by an estimate alone.  When `exact == false`,
   /// `peak_c` is a bias-corrected medium-rung estimate and `band_c` the
   /// calibrated residual half-spread at this operating point — the walk
-  /// orders such candidates by the estimate (ordering noise in the hot
-  /// region only perturbs the descent path, never the committed winner).
+  /// orders such candidates by the estimate.  Ordering noise in the hot
+  /// region perturbs the descent path, so the committed placement may
+  /// differ from the full walk's (other spacings, same combination and
+  /// objective on every tested sweep); it is still verified feasible at
+  /// full fidelity.
   struct WalkEval {
     double peak_c = 0.0;
     double band_c = 0.0;
@@ -364,48 +363,37 @@ class Evaluator {
                          const BenchmarkProfile& bench) const;
 
   // --- Fidelity ladder (see LadderOptions) ----------------------------
-  /// Calibration identity: residual bounds are tracked independently per
-  /// (rung, benchmark, chiplet count) — the rungs' bias differs across
-  /// all three axes.
+  /// Calibration identity: the medium rung's residual bounds are tracked
+  /// independently per (benchmark, chiplet count) — its bias differs
+  /// across both axes.
   struct RungKey {
-    int rung;
     int bench_idx;
     int n;
     auto operator<=>(const RungKey&) const = default;
   };
-  /// Out-of-sample residual record of one rung: count observed pairs, the
-  /// extremes of full − estimate, and the band of estimates the pairs
-  /// covered.  A rung's bias drifts with operating point (e.g. the coarse
-  /// rung under-estimates hot layouts by more °C than warm ones), so the
-  /// additive *rejection* bound of the statistical rungs (surrogate,
-  /// coarse) is only trusted for estimates inside the calibrated band —
-  /// extrapolation promotes.  The medium rung is the same physics at half
-  /// resolution with a small, stable discretization bias; its rejection
-  /// bound is trusted globally.  Early promotion (est + max_resid still
-  /// clearly below the threshold) is winner-safe in any direction — a
-  /// missed reject only costs time — so it never needs the band.
+  /// Out-of-sample residual record of the medium rung: count observed
+  /// pairs and the extremes of full − estimate.  The medium rung is the
+  /// same physics at half resolution with a small, stable discretization
+  /// bias, so its rejection bound is trusted at any estimate.
   struct ResidBound {
     int count = 0;
     double min_resid = 0.0;
     double max_resid = 0.0;
-    double est_lo = 0.0;
-    double est_hi = 0.0;
   };
 
-  /// Surrogate feature vector for `org` under `bench`.
-  std::array<double, kSurrogateFeatures> features_of(
-      const Organization& org, const BenchmarkProfile& bench) const;
-  /// Calibrated three-way verdict for one rung's estimate: +1 reject,
-  /// -1 promote immediately (skip higher rungs), 0 no opinion (continue).
-  int rung_verdict(int rung, const EvalKey& key, double est_c,
-                   double reject_above_c) const;
-  /// Rung 2 availability (lazy medium-config construction).
+  /// Calibrated verdict on a medium-rung estimate: true when even the
+  /// most optimistic calibrated residual, less the safety margin, keeps
+  /// the candidate above `reject_above_c`.
+  bool rung_verdict(const EvalKey& key, double est_c,
+                    double reject_above_c) const;
+  /// Medium-rung availability (lazy medium-config construction).
   bool medium_available();
   /// Medium-resolution twin of model_for (separate LRU + ledger).
   std::shared_ptr<ModelEntry> medium_model_for(const Organization& org);
-  /// Memoized rung-2 estimate (converged medium-grid leakage fixed point);
-  /// registers the pending calibration pair.  nullopt when the medium rung
-  /// is unavailable, failed, or did not converge — callers promote.
+  /// Memoized medium-rung estimate (converged medium-grid leakage fixed
+  /// point); registers the pending calibration pair.  nullopt when the
+  /// medium rung is unavailable, failed, or did not converge — callers
+  /// promote.
   /// `*fresh` reports whether this call paid for a new medium solve.
   std::optional<double> medium_estimate(const EvalKey& key,
                                         const Organization& org,
@@ -414,11 +402,10 @@ class Evaluator {
   /// Deterministic keep-frac audit schedule: true when this confident
   /// reject is the one in 1/keep_frac that must be promoted anyway.
   bool audit_due();
-  /// Record the calibration pairs + surrogate sample of a completed full
-  /// evaluation (called from thermal_eval).
-  void record_full_result(const EvalKey& key, const Organization& org,
-                          const BenchmarkProfile& bench, const ThermalEval& ev,
-                          bool converged);
+  /// Close out the pending medium-rung estimate of a completed full
+  /// evaluation: a converged result calibrates the residual bounds
+  /// (called from thermal_eval).
+  void record_full_result(const EvalKey& key, const ThermalEval& ev);
 
   EvalConfig config_;
   double cost_2d_ = 0.0;
@@ -443,12 +430,10 @@ class Evaluator {
   // --- Fidelity-ladder state (all insertion-ordered / deterministic) ---
   LadderStats ladder_stats_;
   RefineStats refine_stats_;
-  /// One online surrogate per benchmark (rung 0).
-  std::map<int, PeakSurrogate> surrogates_;
-  /// Calibrated residual bounds per (rung, bench, n).
+  /// Calibrated medium-rung residual bounds per (bench, n).
   std::map<RungKey, ResidBound> calib_;
-  /// Walk-grade rung-2 residual bounds, keyed per (bench, n, f, p): the
-  /// candidates of one placement walk share the operating point, so the
+  /// Walk-grade medium-rung residual bounds, keyed per (bench, n, f, p):
+  /// the candidates of one placement walk share the operating point, so the
   /// medium rung's residual varies only with placement there — a much
   /// tighter band than the pooled one, which is what keeps walk
   /// comparisons from degenerating into all-ties.
@@ -460,14 +445,16 @@ class Evaluator {
     auto operator<=>(const WalkKey&) const = default;
   };
   std::map<WalkKey, ResidBound> walk_calib_;
-  /// Rung estimates awaiting their full result (NaN = rung not run).
-  std::map<EvalKey, std::array<double, 3>> pending_est_;
-  /// Memoized rung-2 estimates (mirrors eval_memo_ for the medium grid).
+  /// Medium-rung estimates awaiting their full result.
+  std::map<EvalKey, double> pending_est_;
+  /// Memoized medium-rung estimates (mirrors eval_memo_ for the medium
+  /// grid).
   std::map<EvalKey, double> medium_memo_;
   /// Confident-reject counter driving the deterministic keep-frac audit.
   std::size_t confident_rejects_ = 0;
-  /// Rung-2 medium-grid models: separate LRU and ledger so screening
-  /// solves never tick the full path's solve clock or health counters.
+  /// Medium-grid models: separate LRU and ledger so screening solves
+  /// never tick the full path's solve clock or health counters (the
+  /// ledger's solve index is the clock FaultPlan::screen_fail_* targets).
   bool medium_init_ = false;
   std::optional<ThermalConfig> medium_thermal_;
   std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>> medium_lru_;

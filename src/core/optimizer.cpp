@@ -439,13 +439,13 @@ std::string encode_opt_result(const OptResult& result,
   // Rung metadata travels with the row so a resumed ladder sweep replays
   // its screening counters identically.  Emitted only when the ladder ran:
   // full-mode payloads stay byte-identical to earlier releases, and older
-  // decoders skip the unknown key.
+  // decoders skip the unknown key.  Fields 5-8 held the counters of the
+  // retired surrogate and coarse-solve rungs; they stay in the layout as
+  // zeros so every build decodes every row.
   const LadderStats& l = stats.ladder;
   if (l.any())
     os << "ladder " << l.screened << ' ' << l.rejected << ' ' << l.promoted
-       << ' ' << l.audits << ' ' << l.surrogate_scores << ' '
-       << l.surrogate_fits << ' ' << l.coarse_solves << ' '
-       << l.coarse_failures << ' ' << l.medium_solves << ' '
+       << ' ' << l.audits << " 0 0 0 0 " << l.medium_solves << ' '
        << l.medium_failures << '\n';
   const RefineStats& r = stats.refine;
   if (r.any())
@@ -521,9 +521,10 @@ bool decode_opt_result(const std::string& payload, OptResult* result,
       saw_health = true;
     } else if (key == "ladder") {
       LadderStats& l = stats->ladder;
+      std::size_t retired[4];  // surrogate/coarse counters: read, dropped
       if (!(ls >> l.screened >> l.rejected >> l.promoted >> l.audits >>
-            l.surrogate_scores >> l.surrogate_fits >> l.coarse_solves >>
-            l.coarse_failures >> l.medium_solves >> l.medium_failures))
+            retired[0] >> retired[1] >> retired[2] >> retired[3] >>
+            l.medium_solves >> l.medium_failures))
         return false;
     } else if (key == "refined") {
       if (!read_double(ls, &result->peak_grid_c) ||

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "common/check.hpp"
 #include "common/errors.hpp"
 #include "linalg/chunked.hpp"
 #include "obs/metrics.hpp"
@@ -178,26 +177,6 @@ std::size_t MultigridPreconditioner::level_count() const {
 
 std::size_t MultigridPreconditioner::unknowns(std::size_t level) const {
   return levels_[level].A->rows();
-}
-
-const CsrMatrix& MultigridPreconditioner::level_matrix(
-    std::size_t level) const {
-  return *levels_[level].A;
-}
-
-const std::vector<std::size_t>& MultigridPreconditioner::aggregates(
-    std::size_t level) const {
-  TACOS_CHECK(level + 1 < levels_.size(),
-              "aggregates(" << level << "): level has no coarser neighbor");
-  return levels_[level].agg;
-}
-
-std::size_t MultigridPreconditioner::level_nx(std::size_t level) const {
-  return levels_[level].nx;
-}
-
-std::size_t MultigridPreconditioner::level_ny(std::size_t level) const {
-  return levels_[level].ny;
 }
 
 /// Weighted-Jacobi sweeps: z <- z + omega D^{-1} (r - A z).  When the

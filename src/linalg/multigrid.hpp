@@ -97,23 +97,6 @@ class MultigridPreconditioner final : public Preconditioner {
   /// Unknowns on a level (0 = finest).
   std::size_t unknowns(std::size_t level) const;
 
-  // --- Hierarchy introspection (the fidelity ladder's coarse rung) -----
-  //
-  // The Galerkin coarse operators are themselves conductance networks, so
-  // a cheap screening solve can run directly on level 1 with no new
-  // assembly.  ThermalModel::coarse_peak_estimate restricts its RHS
-  // through `aggregates(0)` and solves `level_matrix(1)`.
-
-  /// The operator of a level (0 = the caller's fine matrix).
-  const CsrMatrix& level_matrix(std::size_t level) const;
-  /// Aggregation map from `level`'s nodes to `level + 1`'s (piecewise-
-  /// constant restriction: coarse value = sum over fine nodes mapping to
-  /// it).  Only valid for level < level_count() - 1.
-  const std::vector<std::size_t>& aggregates(std::size_t level) const;
-  /// Per-layer grid extent of a level (nx, ny).
-  std::size_t level_nx(std::size_t level) const;
-  std::size_t level_ny(std::size_t level) const;
-
  private:
   struct Level;
   void vcycle(std::size_t l, const std::vector<double>& r,

@@ -306,7 +306,6 @@ std::string encode_eval_params(const EvalConfig& config,
      << " keep_frac=" << fmt_g17(config.ladder.keep_frac)
      << " min_calib=" << config.ladder.min_calibration
      << " ladder_margin=" << fmt_g17(config.ladder.safety_margin_c)
-     << " surrogate_min=" << config.ladder.surrogate_min_samples
      << " medium_min=" << config.ladder.medium_grid_min
      << " medium_leak_tol=" << fmt_g17(config.ladder.medium_leak_tol_c)
      << " alpha=" << fmt_g17(opts.alpha) << " beta=" << fmt_g17(opts.beta)
@@ -369,9 +368,6 @@ bool decode_eval_params(const std::string& line, EvalConfig* config,
     } else if (key == "ladder_margin") {
       if (!read_double_tok(val, &config->ladder.safety_margin_c))
         return false;
-    } else if (key == "surrogate_min") {
-      config->ladder.surrogate_min_samples =
-          static_cast<std::size_t>(std::atol(val.c_str()));
     } else if (key == "medium_min") {
       config->ladder.medium_grid_min =
           static_cast<std::size_t>(std::atol(val.c_str()));

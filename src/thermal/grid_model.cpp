@@ -641,96 +641,6 @@ ThermalResult ThermalModel::solve(const PowerMap& power) {
   return make_result(sr);
 }
 
-double ThermalModel::coarse_peak_estimate(const PowerMap& power) {
-  static obs::SpanSite site("thermal.coarse", "thermal");
-  obs::TraceSpan span(site);
-  MultigridPreconditioner* const mg = multigrid_for_solve();
-  SolveLedger& led = ledger();
-  const std::size_t cidx = led.coarse_index++;
-  span.arg("coarse_solve", static_cast<std::int64_t>(cidx));
-
-  const std::vector<double> rhs = build_rhs(power);
-  for (double v : rhs) {
-    if (!std::isfinite(v))
-      throw ThermalError(cidx, 0, 0, 0.0,
-                         "non-finite power input to the coarse rung");
-  }
-
-  // The screening level: the first Galerkin coarse operator when the
-  // hierarchy has one, the fine matrix itself otherwise (tiny test grids
-  // that cannot be coarsened — the estimate is then simply a loose solve).
-  const bool coarsened = mg->level_count() > 1;
-  const CsrMatrix& Ac = mg->level_matrix(coarsened ? 1 : 0);
-  std::vector<double> rc;
-  if (coarsened) {
-    const std::vector<std::size_t>& agg = mg->aggregates(0);
-    rc.assign(Ac.rows(), 0.0);
-    for (std::size_t i = 0; i < rhs.size(); ++i) rc[agg[i]] += rhs[i];
-  } else {
-    rc = rhs;
-  }
-
-  // Source-layer coverage on the screening level, built once per model:
-  // coarse cover = mean fine cover over the aggregate, mirroring the
-  // fine-level majority-coverage peak rule.
-  const std::size_t cnx = mg->level_nx(coarsened ? 1 : 0);
-  const std::size_t cny = mg->level_ny(coarsened ? 1 : 0);
-  const std::size_t ccell = cnx * cny;
-  if (coarse_cover_.empty()) {
-    if (coarsened) {
-      const std::vector<std::size_t>& agg = mg->aggregates(0);
-      coarse_cover_.assign(ccell, 0.0);
-      std::vector<double> counts(ccell, 0.0);
-      const std::size_t fbase = source_layer_ * grid_.cell_count();
-      const std::size_t cbase = source_layer_ * ccell;
-      for (std::size_t i = 0; i < grid_.cell_count(); ++i) {
-        const std::size_t c = agg[fbase + i] - cbase;
-        coarse_cover_[c] += source_cover_[i];
-        counts[c] += 1.0;
-      }
-      for (std::size_t c = 0; c < ccell; ++c) coarse_cover_[c] /= counts[c];
-    } else {
-      coarse_cover_ = source_cover_;
-    }
-  }
-
-  if (coarse_temps_.size() != Ac.rows())
-    coarse_temps_.assign(Ac.rows(), config_.package.ambient_c);
-
-  SolveOptions opts = config_.solve;
-  opts.preconditioner = nullptr;  // Jacobi inside solve_pcg; the hierarchy
-  opts.precond = PrecondKind::kJacobi;  // belongs to the fine matrix
-  // Screening accuracy: the estimate feeds a calibrated reject bound with
-  // its own safety margin, so 1e-6 is plenty (and saves iterations).
-  opts.rel_tolerance = std::max(opts.rel_tolerance, 1e-6);
-  const bool forced_fail = opts.fault.coarse_should_fail(cidx);
-  if (forced_fail) {
-    opts.max_iterations = 2;
-    opts.rel_tolerance = 0.0;
-  }
-  SolveResult sr = solve_pcg(Ac, rc, coarse_temps_, opts);
-  if (forced_fail) sr.converged = false;
-  if (!sr.converged) {
-    // Reset the warm-start field: the failed iterate must not poison the
-    // next screening solve.  No recovery ladder here — the caller's
-    // recovery IS promotion to the next rung.
-    std::fill(coarse_temps_.begin(), coarse_temps_.end(),
-              config_.package.ambient_c);
-    throw ThermalError(cidx, 1, sr.iterations, sr.residual_norm,
-                       "coarse-rung screening solve did not converge");
-  }
-  span.arg("iters", static_cast<std::int64_t>(sr.iterations));
-
-  double peak_cov = -1e300, peak_any = -1e300;
-  const std::size_t cbase = source_layer_ * ccell;
-  for (std::size_t c = 0; c < ccell; ++c) {
-    const double t = coarse_temps_[cbase + c];
-    peak_any = std::max(peak_any, t);
-    if (coarse_cover_[c] >= 0.5) peak_cov = std::max(peak_cov, t);
-  }
-  return peak_cov > -1e300 ? peak_cov : peak_any;
-}
-
 void ThermalModel::reset_to_ambient() {
   std::fill(temperatures_.begin(), temperatures_.end(),
             config_.package.ambient_c);

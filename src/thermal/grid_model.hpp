@@ -111,19 +111,6 @@ class ThermalModel {
   /// |P_in - P_out_ambient| / P_in (should be ~solver tolerance).
   double energy_balance_error(const PowerMap& power) const;
 
-  /// Fidelity-ladder rung 1: a single cheap peak-temperature estimate on
-  /// the multigrid hierarchy's first Galerkin coarse operator (built on
-  /// demand — no new assembly; at grid 24 the coarse system is 4× smaller
-  /// than the fine one).  The fine RHS is restricted through the
-  /// aggregation map and solved with Jacobi-PCG at a screening tolerance,
-  /// warm-started from a per-model coarse field that persists across
-  /// calls; the returned peak is the hottest majority-covered coarse cell
-  /// of the CMOS layer.  Does NOT touch the temperature field, the main
-  /// solve clock, or the recovery ladder; failures (including
-  /// FaultPlan::coarse_fail_*) throw ThermalError, which the Evaluator
-  /// treats as "promote to the next rung", never as a task failure.
-  double coarse_peak_estimate(const PowerMap& power);
-
   // --- Transient simulation -------------------------------------------
   //
   // Every node carries a thermal capacitance C = c_v * volume; a backward
@@ -254,10 +241,6 @@ class ThermalModel {
   std::vector<std::vector<std::pair<std::size_t, double>>> tile_cells_;
   std::vector<std::vector<std::pair<std::size_t, double>>> chiplet_cells_;
   bool solved_ = false;
-  // Coarse-rung screening state (coarse_peak_estimate): warm-start field
-  // and source-layer coverage on the first Galerkin coarse level.
-  std::vector<double> coarse_temps_;
-  std::vector<double> coarse_cover_;
   std::unique_ptr<MultigridPreconditioner> mg_;  ///< lazy; steady-state only
   SolveLedger* ledger_ = nullptr;  ///< external accounting (Evaluator shard)
   SolveLedger own_ledger_;         ///< fallback for standalone models

@@ -331,7 +331,6 @@ TEST(EvalParams, RoundTripsEveryResultAffectingKnob) {
   config.ladder.keep_frac = 0.375;
   config.ladder.min_calibration = 9;
   config.ladder.safety_margin_c = 1.5;
-  config.ladder.surrogate_min_samples = 11;
   config.ladder.medium_grid_min = 10;
   config.ladder.medium_leak_tol_c = 0.5;
   OptimizerOptions opts = small_options();

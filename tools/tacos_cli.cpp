@@ -143,8 +143,9 @@ int g_remote_attempts = 5;             ///< client retry budget
 std::uint64_t g_serve_hold_ms = 0;     ///< --fault-serve-hold-ms (testing)
 
 /// Evaluation fidelity from --fidelity (docs/PERFORMANCE.md): full runs
-/// every candidate through the leakage fixed point; ladder screens through
-/// surrogate → coarse → medium rungs first; auto picks per grid size.
+/// every candidate through the leakage fixed point; ladder screens them on
+/// a half-resolution model first; auto picks the ladder whenever that
+/// model can be built (grid >= 16).
 FidelityMode g_fidelity = FidelityMode::kFull;
 /// --surrogate-keep-frac: fraction of confident rejects audited anyway.
 double g_keep_frac = 0.0;
@@ -165,7 +166,7 @@ int usage() {
   std::cerr <<
       "usage: tacos_cli [--threads=N] [--fault-pcg-every=N]"
       " [--fault-pcg-rungs=K]\n"
-      "                 [--fault-leak-nonconverge] [--fault-coarse-every=N]\n"
+      "                 [--fault-leak-nonconverge]\n"
       "                 [--run-dir=DIR] [--resume] [--task-deadline=S]\n"
       "                 [--workers=N] [--lease-ttl-ms=T]\n"
       "                 [--fault-worker-crash-after=K]"
@@ -508,10 +509,8 @@ int cmd_batch(const std::vector<std::string>& a) {
     const LadderStats& l = stats.ladder;
     std::cerr << "ladder: " << l.screened << " screened, " << l.rejected
               << " rejected, " << l.promoted << " promoted (" << l.audits
-              << " audit(s)), " << l.surrogate_scores << " surrogate score(s)/"
-              << l.surrogate_fits << " fit(s), " << l.coarse_solves
-              << " coarse + " << l.medium_solves << " medium solve(s), "
-              << l.coarse_failures + l.medium_failures << " rung failure(s)\n";
+              << " audit(s)), " << l.medium_solves << " medium solve(s), "
+              << l.medium_failures << " rung failure(s)\n";
   }
   if (stats.refine.any()) {
     const RefineStats& rf = stats.refine;
@@ -803,7 +802,6 @@ int cmd_status(const std::vector<std::string>& a) {
   for (const auto& [name, value] : counters) {
     const bool interesting = name.rfind("service.", 0) == 0 ||
                              name.rfind("health.", 0) == 0 ||
-                             name.rfind("surrogate.", 0) == 0 ||
                              name == "thermal.solves";
     if (!interesting) continue;
     if (!counters_header) {
@@ -894,10 +892,6 @@ int main(int argc, char** argv) {
       g_fault.pcg_fail_rungs = static_cast<int>(n);
     } else if (flag == "--fault-leak-nonconverge") {
       g_fault.leak_force_nonconverge = true;
-    } else if (flag.rfind("--fault-coarse-every=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 21);
-      if (n < 1) return usage();
-      g_fault.coarse_fail_every = static_cast<std::size_t>(n);
     } else if (flag.rfind("--fidelity=", 0) == 0) {
       const std::optional<FidelityMode> m =
           parse_fidelity_mode(flag.substr(11));
