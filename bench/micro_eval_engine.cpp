@@ -134,7 +134,7 @@ E2eRun run_e2e(std::size_t grid, const std::vector<std::string>& names,
 
 /// Preconditioner A/B at the paper's full 64x64 resolution: one cold
 /// solve of the 16-chiplet layout per preconditioner.  Demonstrates the
-/// multigrid iteration-count win (the acceptance target is >= 3x) and
+/// multigrid iteration-count win (micro_solver --selftest gates >= 8x) and
 /// that both preconditioners land on the same temperatures.
 struct PrecondAB {
   std::size_t grid = 64;

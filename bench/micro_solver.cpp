@@ -5,15 +5,20 @@
 /// exhaustive-search estimate is built on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "core/leakage.hpp"
 #include "obs/obs.hpp"
 #include "floorplan/layout.hpp"
 #include "materials/stack.hpp"
+#include "perf/phases.hpp"
+#include "power/power_model.hpp"
 #include "thermal/grid_model.hpp"
 
 namespace {
@@ -91,12 +96,11 @@ void BM_LeakageFixedPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_LeakageFixedPoint)->Arg(24)->Arg(32);
 
-/// CI smoke check (--selftest[=GRID], default 64 — the paper's
-/// resolution): cold-solve the 16-chiplet layout with Jacobi and with
-/// multigrid, then assert that (a) both converge, (b) multigrid needs at
-/// least 3x fewer PCG iterations, and (c) the temperature fields agree to
-/// well within solver tolerance.  Returns a process exit code.
-int run_selftest(std::size_t grid) {
+/// Steady half of the CI smoke check: cold-solve the 16-chiplet layout at
+/// `grid` with Jacobi and with multigrid.  Fails unless both converge,
+/// multigrid needs at least 8x fewer PCG iterations, and the temperature
+/// fields agree to well within solver tolerance.
+bool steady_selftest(std::size_t grid) {
   const ChipletLayout l = make_uniform_layout(4, 4.0);
   const LayerStack stack = make_25d_stack();
   const PowerMap p = uniform_power(l, 300.0);
@@ -133,9 +137,9 @@ int run_selftest(std::size_t grid) {
     std::fprintf(stderr, "[selftest] FAIL: a solve did not converge\n");
     ok = false;
   }
-  if (ratio < 3.0) {
+  if (ratio < 8.0) {
     std::fprintf(stderr,
-                 "[selftest] FAIL: multigrid iteration reduction %.2fx < 3x\n",
+                 "[selftest] FAIL: multigrid iteration reduction %.2fx < 8x\n",
                  ratio);
     ok = false;
   }
@@ -145,7 +149,91 @@ int run_selftest(std::size_t grid) {
                  max_diff_c);
     ok = false;
   }
-  return ok ? 0 : 1;
+  return ok;
+}
+
+/// Transient half of the CI smoke check: 24 backward-Euler steps of a
+/// phase trace on the 16-chiplet 6 mm layout at grid 32, once on Jacobi
+/// and once on multigrid, under the same power maps.  Fails unless the
+/// tile temperatures agree within 1e-5 °C after every step and multigrid
+/// needs at least 5x fewer PCG iterations.  Both run at a 1e-10 relative
+/// tolerance: at the default 1e-8 a Jacobi step is itself ~1e-4 °C from
+/// the exact solution.
+bool transient_selftest() {
+  const ChipletLayout l = make_uniform_layout(4, 6.0);
+  const LayerStack stack = make_25d_stack();
+  const BenchmarkProfile& bench = benchmark_by_name("shock");
+  const PowerModelParams pm;
+  std::vector<int> all(256);
+  for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
+  const std::vector<Phase> trace = synthetic_trace(bench, 6.0, 0.25, 2018);
+
+  ThermalConfig cfg;
+  cfg.grid_nx = cfg.grid_ny = 32;
+  cfg.solve.rel_tolerance = 1e-10;
+  cfg.solve.precond = PrecondKind::kJacobi;
+  ThermalModel jacobi(l, stack, cfg);
+  cfg.solve.precond = PrecondKind::kMultigrid;
+  ThermalModel mg(l, stack, cfg);
+  jacobi.reset_to_ambient();
+  mg.reset_to_ambient();
+
+  std::optional<std::vector<double>> tiles;
+  std::size_t iters[2] = {0, 0};
+  double max_diff_c = 0.0;
+  bool converged = true;
+  for (const Phase& ph : trace) {
+    const PowerMap p = build_power_map(l, bench, kDvfsLevels[0], all, tiles,
+                                       pm, ph.activity);
+    const SolveResult rj = jacobi.step_transient(p, ph.duration_s).solve_info;
+    const SolveResult rm = mg.step_transient(p, ph.duration_s).solve_info;
+    converged = converged && rj.converged && rm.converged;
+    iters[0] += rj.iterations;
+    iters[1] += rm.iterations;
+    tiles = jacobi.tile_temperatures();
+    const std::vector<double> tm = mg.tile_temperatures();
+    for (std::size_t i = 0; i < tm.size(); ++i)
+      max_diff_c = std::max(max_diff_c, std::abs((*tiles)[i] - tm[i]));
+  }
+  const double ratio = static_cast<double>(iters[0]) /
+                       static_cast<double>(std::max<std::size_t>(1, iters[1]));
+  std::printf(
+      "[selftest] transient grid=32 steps=%zu jacobi_iters=%zu mg_iters=%zu "
+      "ratio=%.2f max_tile_diff_c=%.3g\n",
+      trace.size(), iters[0], iters[1], ratio, max_diff_c);
+  bool ok = true;
+  if (!converged) {
+    std::fprintf(stderr, "[selftest] FAIL: a transient step did not converge\n");
+    ok = false;
+  }
+  if (ratio < 5.0) {
+    std::fprintf(stderr,
+                 "[selftest] FAIL: multigrid step iteration reduction %.2fx "
+                 "< 5x\n",
+                 ratio);
+    ok = false;
+  }
+  if (!(max_diff_c < 1e-5)) {
+    std::fprintf(stderr,
+                 "[selftest] FAIL: transient steps disagree by %.3g C\n",
+                 max_diff_c);
+    ok = false;
+  }
+  return ok;
+}
+
+/// CI smoke check (--selftest[=GRID], default 64 — the paper's
+/// resolution): the steady check at GRID and the transient check at grid
+/// 32.  A solve that throws fails the check.  Returns a process exit code.
+int run_selftest(std::size_t grid) {
+  try {
+    const bool steady_ok = steady_selftest(grid);
+    const bool transient_ok = transient_selftest();
+    return steady_ok && transient_ok ? 0 : 1;
+  } catch (const tacos::Error& e) {
+    std::fprintf(stderr, "[selftest] FAIL: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace

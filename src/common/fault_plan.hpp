@@ -20,6 +20,7 @@
 /// Solve indices are counted per SolveLedger — one per Evaluator shard —
 /// so an injected plan fires at the same logical points at any thread
 /// count, which is what the quarantine determinism tests rely on.
+/// Transient steps take indices from the same clock as steady solves.
 
 #include <cstddef>
 #include <cstdint>

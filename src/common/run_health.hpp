@@ -117,7 +117,7 @@ struct RunHealth {
 /// per shard — and therefore per task — regardless of model-cache churn or
 /// thread count.  A standalone ThermalModel falls back to a private ledger.
 struct SolveLedger {
-  std::size_t solve_index = 0;  ///< next steady-state solve's 0-based index
+  std::size_t solve_index = 0;  ///< next solve's or step's 0-based index
   RunHealth health;
 };
 

@@ -41,16 +41,17 @@ inline ThreadPool* chunk_pool(std::size_t n) {
   return (n >= kParallelMinRows && pool.thread_count() > 1) ? &pool : nullptr;
 }
 
-/// Runs `body(lo, hi)` over every kChunkRows-sized chunk of [0, n), on
+/// Runs `body(lo, hi)` over every `grain`-sized chunk of [0, n), on
 /// `pool` when given (nullptr = serial).  `body` must be data-parallel
 /// across chunks (each chunk touches only its own rows / partial slot).
 template <typename Body>
-void for_chunks(std::size_t n, ThreadPool* pool, Body&& body) {
+void for_chunks(std::size_t n, ThreadPool* pool, Body&& body,
+                std::size_t grain = kChunkRows) {
   if (pool) {
-    pool->parallel_for(n, kChunkRows, body);
+    pool->parallel_for(n, grain, body);
   } else {
-    for (std::size_t lo = 0; lo < n; lo += kChunkRows)
-      body(lo, std::min(n, lo + kChunkRows));
+    for (std::size_t lo = 0; lo < n; lo += grain)
+      body(lo, std::min(n, lo + grain));
   }
 }
 

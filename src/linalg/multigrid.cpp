@@ -1,5 +1,6 @@
 #include "linalg/multigrid.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -21,15 +22,101 @@ struct MultigridPreconditioner::Level {
   const CsrMatrix* A = nullptr;
   std::unique_ptr<CsrMatrix> owned;
   std::size_t nx = 0, ny = 0;
-  std::vector<double> inv_diag;
+  // Line smoother: the LDLᵀ factor of every column's tridiagonal, indexed
+  // like the unknowns.  inv_pivot[i] = 1 / d_i; mult[i] = the multiplier
+  // eliminating node i's coupling to the node one layer below (0 on the
+  // bottom layer and the lumped nodes, whose inv_pivot is 1 / a_ii).
+  std::vector<double> inv_pivot, mult;
   std::vector<std::size_t> agg;
   std::vector<double> z, tmp, rbuf;
   // Mixed-precision smoother state (empty unless opts.mixed_precision):
-  // an f32 mirror of A plus float workspaces.  Smoothing sweeps read and
-  // write these; the double z is synced once per smooth() call.
+  // an f32 mirror of A plus float workspaces for the smoother's A·z.
   std::unique_ptr<CsrF32> Af;
-  std::vector<float> inv_diag_f, zf, tmpf, rf;
+  std::vector<float> zf, tmpf;
 };
+
+namespace {
+
+/// Factors the tridiagonal of every (ix, iy) column of `A` across its
+/// `layers` layers (T = L D Lᵀ, L unit lower bidiagonal): d_0 = a_0,
+/// m_l = b_{l-1} / d_{l-1}, d_l = a_l − m_l b_{l-1}, where b_{l-1} is the
+/// coupling between a column's layer l-1 and layer l nodes.  Lumped
+/// nodes get point-Jacobi pivots.
+void factor_columns(const CsrMatrix& A, std::size_t ncell, std::size_t layers,
+                    std::size_t level, std::vector<double>& inv_pivot,
+                    std::vector<double>& mult) {
+  const std::size_t n = A.rows();
+  const std::size_t ngrid = ncell * layers;
+  const auto& rp = A.row_ptr();
+  const auto& ci = A.col_idx();
+  const auto& va = A.values();
+  const std::vector<double> diag = A.diagonal();
+  const auto pivot = [&](std::size_t i, double d) {
+    if (!(d > 0.0))
+      throw SolverError("pcg", 0, 0.0,
+                        "multigrid level " + std::to_string(level) +
+                            ": non-positive pivot at row " +
+                            std::to_string(i));
+    inv_pivot[i] = 1.0 / d;
+  };
+  inv_pivot.assign(n, 0.0);
+  mult.assign(n, 0.0);
+  std::vector<double> d(ncell);
+  for (std::size_t c = 0; c < ncell; ++c) {
+    d[c] = diag[c];
+    pivot(c, d[c]);
+  }
+  for (std::size_t l = 1; l < layers; ++l) {
+    for (std::size_t c = 0; c < ncell; ++c) {
+      const std::size_t i = l * ncell + c, below = i - ncell;
+      double b = 0.0;
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k)
+        if (ci[k] == below) b += va[k];
+      const double m = b / d[c];
+      d[c] = diag[i] - m * b;
+      mult[i] = m;
+      pivot(i, d[c]);
+    }
+  }
+  for (std::size_t i = ngrid; i < n; ++i) pivot(i, diag[i]);
+}
+
+/// Column solve fused with the update: z (+)= ω M⁻¹ src, where M is the
+/// block diagonal of the column tridiagonals (point diagonal on lumped
+/// nodes).  Forward elimination w_l = src_l − m_l w_{l-1} runs into `t`
+/// (in place when src is t), then back substitution
+/// x_l = w_l / d_l − m_{l+1} x_{l+1}; each layer is a contiguous run of a
+/// chunk's columns, so the inner loops are unit-stride.  Columns are
+/// independent, so the result does not depend on the chunking.
+/// `assign` overwrites z (a zero iterate) instead of adding to it.
+void column_solve(std::size_t lo, std::size_t hi, std::size_t ncell,
+                  std::size_t layers, double omega, const double* ip,
+                  const double* m, const double* s, double* t, double* z,
+                  bool assign) {
+  const auto update = [&](std::size_t i) {
+    z[i] = assign ? omega * t[i] : z[i] + omega * t[i];
+  };
+  for (std::size_t c = lo; c < hi; ++c) t[c] = s[c];
+  for (std::size_t l = 1; l < layers; ++l) {
+    const std::size_t base = l * ncell;
+    for (std::size_t i = base + lo; i < base + hi; ++i)
+      t[i] = s[i] - m[i] * t[i - ncell];
+  }
+  const std::size_t top = (layers - 1) * ncell;
+  for (std::size_t i = top + lo; i < top + hi; ++i) {
+    t[i] *= ip[i];
+    update(i);
+  }
+  for (std::size_t l = layers - 1; l-- > 0;) {
+    const std::size_t base = l * ncell;
+    for (std::size_t i = base + lo; i < base + hi; ++i) {
+      t[i] = t[i] * ip[i] - m[i + ncell] * t[i + ncell];
+      update(i);
+    }
+  }
+}
+
+}  // namespace
 
 MultigridPreconditioner::~MultigridPreconditioner() = default;
 
@@ -52,6 +139,7 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& A,
     throw SolverError("pcg", 0, 0.0,
                       "multigrid requires pre_sweeps == post_sweeps >= 1");
   if (opts_.max_levels == 0) opts_.max_levels = 1;
+  layers_ = geom.layers;
 
   {
     Level fine;
@@ -102,7 +190,7 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& A,
     levels_.push_back(std::move(c));
   }
 
-  // Smoother diagonals (all but the coarsest) and workspaces.
+  // Column factors (all but the coarsest) and workspaces.
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     Level& lv = levels_[l];
     const std::size_t n = lv.A->rows();
@@ -110,22 +198,11 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& A,
     lv.tmp.assign(n, 0.0);
     lv.rbuf.assign(n, 0.0);
     if (l + 1 == levels_.size()) continue;
-    const std::vector<double> diag = lv.A->diagonal();
-    lv.inv_diag.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (diag[i] <= 0.0)
-        throw SolverError("pcg", 0, 0.0,
-                          "multigrid level " + std::to_string(l) +
-                              ": non-positive diagonal at row " +
-                              std::to_string(i));
-      lv.inv_diag[i] = 1.0 / diag[i];
-    }
+    factor_columns(*lv.A, lv.nx * lv.ny, layers_, l, lv.inv_pivot, lv.mult);
     if (opts_.mixed_precision) {
       lv.Af = std::make_unique<CsrF32>(*lv.A);
-      lv.inv_diag_f.assign(lv.inv_diag.begin(), lv.inv_diag.end());
       lv.zf.assign(n, 0.0f);
       lv.tmpf.assign(n, 0.0f);
-      lv.rf.assign(n, 0.0f);
     }
   }
 
@@ -179,31 +256,49 @@ std::size_t MultigridPreconditioner::unknowns(std::size_t level) const {
   return levels_[level].A->rows();
 }
 
-/// Weighted-Jacobi sweeps: z <- z + omega D^{-1} (r - A z).  When the
-/// incoming z is logically zero the first sweep skips the SpMV.  Each
-/// sweep is two chunked passes with a barrier between them (tmp = A z
-/// reads all of z, so z updates must not overlap it); all writes are
-/// per-row, so the result is trivially thread-count independent.
+/// The line smoother's solve on every column and lumped node, in chunks of
+/// whole columns covering ~kChunkRows rows each.
+void MultigridPreconditioner::line_solve(Level& lv,
+                                         const std::vector<double>& src,
+                                         std::vector<double>& z,
+                                         bool z_is_zero) {
+  const std::size_t n = lv.A->rows();
+  const std::size_t ncell = lv.nx * lv.ny;
+  const double omega = opts_.omega;
+  const double* const ip = lv.inv_pivot.data();
+  for_chunks(
+      ncell, chunk_pool(n),
+      [&](std::size_t lo, std::size_t hi) {
+        column_solve(lo, hi, ncell, layers_, omega, ip, lv.mult.data(),
+                     src.data(), lv.tmp.data(), z.data(), z_is_zero);
+      },
+      std::max<std::size_t>(1, kChunkRows / layers_));
+  for (std::size_t i = ncell * layers_; i < n; ++i) {
+    const double x = src[i] * ip[i];
+    z[i] = z_is_zero ? omega * x : z[i] + omega * x;
+  }
+}
+
+/// Damped line-Jacobi sweeps: z <- z + ω M⁻¹ (r − A z).  When the incoming
+/// z is logically zero the first sweep skips the residual.  Each later
+/// sweep is a row-chunked residual pass and a column-chunked solve with a
+/// barrier between them (the residual reads neighbouring columns of z).
 ///
-/// Mixed precision (opts.mixed_precision): the SpMV — the memory-bound
-/// part of a sweep — runs on the f32 mirror (float values, 32-bit
-/// columns, float iterate copy), while z itself and the Jacobi update
-/// stay double.  The smoother only steers the V-cycle's error reduction,
-/// so solution accuracy is governed by the outer PCG tolerance either
-/// way; the float path stays bit-identical across thread counts because
-/// every float op is row-local inside fixed chunks.
+/// Mixed precision (opts.mixed_precision): the A·z of the residual — the
+/// memory-bound part of a sweep — runs on the f32 mirror (float values,
+/// 32-bit columns, float iterate copy), while z, the residual and the
+/// column solves stay double.  The smoother only steers the V-cycle's
+/// error reduction, so solution accuracy is governed by the outer PCG
+/// tolerance either way; the float path stays bit-identical across thread
+/// counts because every float op is row-local inside fixed chunks.
 void MultigridPreconditioner::smooth(Level& lv, const std::vector<double>& r,
                                      std::vector<double>& z,
                                      std::size_t sweeps, bool z_is_zero) {
   const std::size_t n = lv.A->rows();
   ThreadPool* const pool = chunk_pool(n);
-  const double omega = opts_.omega;
   std::size_t s = 0;
   if (z_is_zero && sweeps > 0) {
-    for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i)
-        z[i] = omega * lv.inv_diag[i] * r[i];
-    });
+    line_solve(lv, r, z, /*z_is_zero=*/true);
     s = 1;
   }
   const bool mixed = opts_.mixed_precision && lv.Af != nullptr;
@@ -215,21 +310,15 @@ void MultigridPreconditioner::smooth(Level& lv, const std::vector<double>& r,
       });
       for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
         spmv_rows_f32(*lv.A, *lv.Af, lv.zf, lv.tmpf, lo, hi);
-      });
-      for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-          z[i] += omega * lv.inv_diag[i] *
-                  (r[i] - static_cast<double>(lv.tmpf[i]));
+          lv.tmp[i] = r[i] - static_cast<double>(lv.tmpf[i]);
       });
     } else {
       for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-        spmv_rows(*lv.A, z, lv.tmp, lo, hi);
-      });
-      for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          z[i] += omega * lv.inv_diag[i] * (r[i] - lv.tmp[i]);
+        residual_rows(*lv.A, z, r, lv.tmp, lo, hi);
       });
     }
+    line_solve(lv, lv.tmp, z, /*z_is_zero=*/false);
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file multigrid.hpp
 /// \brief Deterministic geometric multigrid V-cycle preconditioner for the
-///        steady-state thermal conductance system.
+///        thermal systems: steady G and transient-step G + C/dt.
 ///
 /// The thermal grid (thermal/grid_model.hpp) stacks `layers` identical
 /// nx × ny conduction grids and appends a handful of lumped periphery
@@ -15,19 +15,27 @@
 /// conductance network, so it stays symmetric positive definite and
 /// diagonally dominant all the way down.
 ///
-/// The V-cycle applies an equal number of pre- and post-smoothing sweeps
-/// of weighted Jacobi on every level and a dense Cholesky solve on the
-/// coarsest.  With R = Pᵀ and a symmetric smoother, the cycle is a
-/// symmetric operator; weighted Jacobi with ω < 1 on a diagonally
-/// dominant matrix is convergent, making the cycle positive definite —
-/// the contract solve_pcg's Preconditioner interface requires.
+/// The smoother is vertical-line block Jacobi.  The package stack puts
+/// 10 µm microbump and 20 µm TIM layers under millimetre cells, so the
+/// vertical conductances are orders of magnitude stronger than the
+/// lateral ones and a point smoother cannot relax them; a line smoother
+/// solves every (ix, iy) column across its layers exactly.  At build time
+/// each level factors the tridiagonal of every column once (LDLᵀ: one
+/// pivot and one multiplier per node); lumped nodes keep point Jacobi.
+/// The V-cycle applies an equal number of damped (ω < 1) pre- and
+/// post-smoothing sweeps on every level and a dense Cholesky solve on the
+/// coarsest.  With R = Pᵀ and a symmetric smoother the cycle is a
+/// symmetric operator, and damped block Jacobi on a diagonally dominant
+/// matrix is convergent, making the cycle positive definite — the
+/// contract solve_pcg's Preconditioner interface requires.
 ///
 /// Determinism: the hierarchy is built serially, restriction is serial
 /// (scatter-adds would race), and every smoothing sweep / prolongation /
-/// reduction runs through the chunk-ordered kernels in linalg/chunked.hpp.
-/// Results are bit-identical at any thread count; coarse levels fall
-/// below kParallelMinRows and run serially with the same chunk
-/// boundaries.
+/// reduction runs through the chunk-ordered kernels in linalg/chunked.hpp;
+/// column solves run in chunks of whole columns, so no column's result
+/// depends on the chunking.  Results are bit-identical at any thread
+/// count; coarse levels fall below kParallelMinRows and run serially with
+/// the same chunk boundaries.
 ///
 /// Observability: each apply emits a `thermal.mg.cycle` span with nested
 /// `thermal.mg.level` / `thermal.mg.coarse` spans, plus a
@@ -52,35 +60,37 @@ struct MultigridGeometry {
 };
 
 /// Tuning knobs.  Defaults are what the thermal systems want; tests
-/// override `coarsest_max_unknowns` to exercise deeper hierarchies.
+/// override `coarsest_max_unknowns` to exercise other hierarchy depths.
 struct MultigridOptions {
   /// Stop coarsening once a level has at most this many unknowns; that
-  /// level is solved directly by dense Cholesky (bounded at ~600² doubles
-  /// of factor storage).
-  std::size_t coarsest_max_unknowns = 600;
+  /// level is solved directly by dense Cholesky.  The line smoother keeps
+  /// every level effective, so the hierarchy runs down to a few cells per
+  /// layer (44 unknowns for the paper's 2.5D stack from grid 32 up).
+  std::size_t coarsest_max_unknowns = 64;
   std::size_t max_levels = 16;
-  std::size_t pre_sweeps = 1;   ///< weighted-Jacobi sweeps before descent
+  std::size_t pre_sweeps = 1;   ///< line-smoother sweeps before descent
   std::size_t post_sweeps = 1;  ///< must equal pre_sweeps for symmetry
-  double omega = 0.7;           ///< Jacobi damping (< 1 for SPD safety)
-  /// Run the weighted-Jacobi smoothing sweeps in single precision (float
-  /// matrix values, 32-bit column indices) while residuals, restriction,
-  /// prolongation and the coarse direct solve stay double.  The smoother
-  /// only needs a rough error reduction, so the outer PCG tolerance — and
-  /// therefore the solution accuracy — is unaffected; only the iteration
-  /// count may shift by ±1.  Results remain bit-identical at any thread
-  /// count (all float work is row-local and chunk-ordered) but differ
-  /// bitwise from the all-double cycle, so the flag defaults to off and is
-  /// excluded from the determinism tests (see docs/PERFORMANCE.md).
+  double omega = 0.8;           ///< smoother damping (< 1 for SPD safety)
+  /// Compute the smoother's A·z in single precision (float matrix values,
+  /// 32-bit column indices) while the column solves, residuals,
+  /// restriction, prolongation and the coarse direct solve stay double.
+  /// The smoother only needs a rough error reduction, so the outer PCG
+  /// tolerance — and therefore the solution accuracy — is unaffected; only
+  /// the iteration count may shift by ±1.  Results remain bit-identical
+  /// at any thread count (all float work is row-local and chunk-ordered)
+  /// but differ bitwise from the all-double cycle, so the flag defaults to
+  /// off and is excluded from the determinism tests (see
+  /// docs/PERFORMANCE.md).
   bool mixed_precision = false;
 };
 
 /// Geometric multigrid V-cycle implementing solve_pcg's Preconditioner
 /// interface.  Construction builds the full hierarchy (aggregation maps,
-/// Galerkin coarse operators, smoother diagonals, coarsest Cholesky
-/// factor) and preallocates every per-apply workspace, so apply_dot never
+/// Galerkin coarse operators, column factors, coarsest Cholesky factor)
+/// and preallocates every per-apply workspace, so apply_dot never
 /// allocates.  Level 0 *references* the caller's matrix — the instance
 /// must not outlive it.  Throws SolverError if the matrix is not
-/// SPD-assembled (non-positive diagonal or Cholesky breakdown).
+/// SPD-assembled (non-positive pivot or Cholesky breakdown).
 class MultigridPreconditioner final : public Preconditioner {
  public:
   MultigridPreconditioner(const CsrMatrix& A, const MultigridGeometry& geom,
@@ -103,10 +113,13 @@ class MultigridPreconditioner final : public Preconditioner {
               std::vector<double>& z);
   void smooth(Level& lv, const std::vector<double>& r,
               std::vector<double>& z, std::size_t sweeps, bool z_is_zero);
+  void line_solve(Level& lv, const std::vector<double>& src,
+                  std::vector<double>& z, bool z_is_zero);
   void coarse_solve(const std::vector<double>& r, std::vector<double>& z);
 
   std::vector<Level> levels_;
   MultigridOptions opts_;
+  std::size_t layers_ = 0;  ///< gridded layers: the column length
   // Dense Cholesky factor of the coarsest operator (row-major lower
   // triangle, factored once at construction).
   std::vector<double> coarse_chol_;

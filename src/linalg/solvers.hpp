@@ -120,8 +120,9 @@ struct SolveOptions {
   /// Preconditioner *selection* riding the config path (see PrecondKind).
   /// Resolved by ThermalModel, not by solve_pcg.
   PrecondKind precond = PrecondKind::kAuto;
-  /// Build the multigrid hierarchy with single-precision smoothing sweeps
-  /// (MultigridOptions::mixed_precision) — `--mg-mixed` on the CLI.
+  /// Build the multigrid hierarchy with a single-precision A·z in its
+  /// smoothing sweeps (MultigridOptions::mixed_precision) — `--mg-mixed`
+  /// on the CLI.
   /// Solution accuracy is still set by `rel_tolerance` (the outer PCG
   /// runs in double); results stay bit-identical across thread counts but
   /// differ bitwise from the all-double cycle, so the determinism tests
@@ -130,8 +131,8 @@ struct SolveOptions {
   /// Externally-owned preconditioner instance for solve_pcg (nullptr =
   /// build a Jacobi preconditioner internally).  Not owned; must outlive
   /// the solve and match the matrix being solved — ThermalModel injects
-  /// its cached multigrid hierarchy here for steady-state solves only
-  /// (the transient matrix G + C/dt has a different operator).
+  /// the multigrid hierarchy built for the operator at hand: G for
+  /// steady-state solves, G + C/dt for transient steps.
   Preconditioner* preconditioner = nullptr;
 };
 

@@ -40,6 +40,8 @@ ThermalModel::ThermalModel(const ChipletLayout& layout, const LayerStack& stack,
                            const ThermalConfig& config)
     : grid_(layout.interposer(), config.grid_nx, config.grid_ny),
       config_(config) {
+  static obs::SpanSite build_site("thermal.build", "thermal");
+  obs::TraceSpan span(build_site);
   TACOS_CHECK(!stack.layers.empty(), "empty layer stack");
   const std::size_t n_stack = stack.layers.size();
   n_layers_ = n_stack + 2;  // + spreader + sink
@@ -304,6 +306,7 @@ ThermalModel::ThermalModel(const ChipletLayout& layout, const LayerStack& stack,
     TACOS_ASSERT(wsum > 0.99, "chiplet " << ci << " not covered by grid");
     for (auto& [idx, w] : chiplet_cells_[ci]) w /= wsum;
   }
+  span.arg("rows", static_cast<std::int64_t>(n_nodes));
 }
 
 std::vector<double> ThermalModel::build_rhs(const PowerMap& power) const {
@@ -384,8 +387,7 @@ const std::vector<double>& ThermalModel::adjoint_peak(AdjointInfo* info) {
   // the ledger's solve clock nor participates in injection, so fault-plan
   // targets stay stable whether or not refinement runs.
   opts.fault = {};
-  if (steady_precond() == PrecondKind::kMultigrid)
-    opts.preconditioner = multigrid_for_solve();
+  opts.preconditioner = multigrid_for(matrix_, mg_);
 
   const auto attempt = [&]() -> SolveResult {
     try {
@@ -507,25 +509,61 @@ PrecondKind ThermalModel::steady_precond() const {
                                                    : PrecondKind::kJacobi;
 }
 
-MultigridPreconditioner* ThermalModel::multigrid_for_solve() {
-  if (!mg_) {
+MultigridPreconditioner* ThermalModel::multigrid_for(
+    const CsrMatrix& A, std::unique_ptr<MultigridPreconditioner>& slot) {
+  if (steady_precond() != PrecondKind::kMultigrid) return nullptr;
+  if (!slot) {
     static obs::SpanSite build_site("thermal.mg.build", "thermal");
     obs::TraceSpan span(build_site);
     const MultigridGeometry geom{grid_.nx(), grid_.ny(), n_layers_,
-                                 matrix_.rows() - n_grid_nodes_};
+                                 A.rows() - n_grid_nodes_};
     MultigridOptions mg_opts;
     mg_opts.mixed_precision = config_.solve.mg_mixed_precision;
-    mg_ = std::make_unique<MultigridPreconditioner>(matrix_, geom, mg_opts);
-    span.arg("levels", static_cast<std::int64_t>(mg_->level_count()));
-    span.arg("rows", static_cast<std::int64_t>(matrix_.rows()));
+    slot = std::make_unique<MultigridPreconditioner>(A, geom, mg_opts);
+    span.arg("levels", static_cast<std::int64_t>(slot->level_count()));
+    span.arg("rows", static_cast<std::int64_t>(A.rows()));
     span.arg("coarse_rows", static_cast<std::int64_t>(
-                                mg_->unknowns(mg_->level_count() - 1)));
+                                slot->unknowns(slot->level_count() - 1)));
   }
-  return mg_.get();
+  return slot.get();
 }
 
-SolveResult ThermalModel::attempt_solve(const std::vector<double>& rhs,
-                                        std::size_t solve_index, int attempt) {
+std::vector<double> ThermalModel::gated_rhs(const PowerMap& power,
+                                            std::size_t solve_index,
+                                            double dt_s) {
+  std::vector<double> rhs = build_rhs(power);
+  if (dt_s > 0)
+    for (std::size_t i = 0; i < rhs.size(); ++i)
+      rhs[i] += capacitance_[i] / dt_s * temperatures_[i];
+  if (config_.solve.fault.nan_rhs(solve_index))
+    rhs[0] = std::numeric_limits<double>::quiet_NaN();
+  // Input gate: reject non-finite power before the solver can smear it
+  // through the warm-start field.  The field is untouched on this path.
+  for (double v : rhs) {
+    if (!std::isfinite(v)) {
+      ++ledger().health.nonfinite_inputs;
+      throw ThermalError(solve_index, 0, 0, 0.0,
+                         "non-finite power input (rhs contains NaN/inf)");
+    }
+  }
+  return rhs;
+}
+
+SolveResult ThermalModel::attempt_solve(
+    const CsrMatrix& A, std::unique_ptr<MultigridPreconditioner>& mg,
+    const std::vector<double>& rhs, std::size_t solve_index, int attempt,
+    std::string* error) {
+  // One span per ladder rung, so a trace shows exactly where the recovery
+  // budget went for a misbehaving task.
+  static obs::SpanSite rung_warm("thermal.rung.warm", "thermal");
+  static obs::SpanSite rung_cold("thermal.rung.cold", "thermal");
+  static obs::SpanSite rung_cap("thermal.rung.cap", "thermal");
+  static obs::SpanSite rung_gs("thermal.rung.gs", "thermal");
+  obs::SpanSite* const rung_sites[4] = {&rung_warm, &rung_cold, &rung_cap,
+                                        &rung_gs};
+  obs::TraceSpan rung(*rung_sites[attempt]);
+  rung.arg("solve", static_cast<std::int64_t>(solve_index));
+
   SolveOptions opts = config_.solve;
   if (attempt == 2) opts.max_iterations *= kCapRaiseFactor;
   const bool forced_fail = opts.fault.pcg_should_fail(solve_index, attempt);
@@ -536,13 +574,22 @@ SolveResult ThermalModel::attempt_solve(const std::vector<double>& rhs,
     opts.max_iterations = std::min<std::size_t>(opts.max_iterations, 2);
     opts.rel_tolerance = 0.0;
   }
-  // The multigrid hierarchy matches `matrix_`, so steady-state PCG rungs
-  // inject it; the Gauss-Seidel rung (attempt 3) has no preconditioner.
-  if (attempt != 3 && steady_precond() == PrecondKind::kMultigrid)
-    opts.preconditioner = multigrid_for_solve();
-  SolveResult sr = attempt == 3
-                       ? solve_gauss_seidel(matrix_, rhs, temperatures_, opts)
-                       : solve_pcg(matrix_, rhs, temperatures_, opts);
+  SolveResult sr;
+  try {
+    // PCG rungs use the hierarchy built for A (nullptr = Jacobi); the
+    // Gauss-Seidel rung (attempt 3) has no preconditioner.
+    if (attempt == 3) {
+      sr = solve_gauss_seidel(A, rhs, temperatures_, opts);
+    } else {
+      opts.preconditioner = multigrid_for(A, mg);
+      sr = solve_pcg(A, rhs, temperatures_, opts);
+    }
+  } catch (const SolverError& e) {
+    // A structural breakdown (e.g. a non-SPD pAp on a bad iterate)
+    // escalates exactly like non-convergence.
+    *error = e.what();
+    return SolveResult{};
+  }
   if (forced_fail) sr.converged = false;
   return sr;
 }
@@ -553,47 +600,15 @@ ThermalResult ThermalModel::solve(const PowerMap& power) {
 
   SolveLedger& led = ledger();
   const std::size_t idx = led.solve_index++;
-  std::vector<double> rhs = build_rhs(power);
-  if (config_.solve.fault.nan_rhs(idx))
-    rhs[0] = std::numeric_limits<double>::quiet_NaN();
-  // Input gate: reject non-finite power before the solver can smear it
-  // through the warm-start field.  The field is untouched on this path.
-  for (double v : rhs) {
-    if (!std::isfinite(v)) {
-      ++led.health.nonfinite_inputs;
-      throw ThermalError(idx, 0, 0, 0.0,
-                         "non-finite power input (rhs contains NaN/inf)");
-    }
-  }
+  const std::vector<double> rhs = gated_rhs(power, idx, 0.0);
 
   // Recovery ladder: warm start, then cold from ambient, then cold with a
-  // raised iteration cap, then the Gauss-Seidel fallback.  A structural
-  // solver breakdown (SolverError, e.g. a non-SPD pAp on a bad iterate)
-  // escalates exactly like non-convergence.
+  // raised iteration cap, then the Gauss-Seidel fallback.
   const std::vector<double> pre_solve = temperatures_;
   std::string last_error;
-  // One span per ladder rung, so a trace shows exactly where the recovery
-  // budget went for a misbehaving task.
-  static obs::SpanSite rung_warm("thermal.rung.warm", "thermal");
-  static obs::SpanSite rung_cold("thermal.rung.cold", "thermal");
-  static obs::SpanSite rung_cap("thermal.rung.cap", "thermal");
-  static obs::SpanSite rung_gs("thermal.rung.gs", "thermal");
-  obs::SpanSite* const rung_sites[4] = {&rung_warm, &rung_cold, &rung_cap,
-                                        &rung_gs};
-  const auto try_attempt = [&](int attempt) {
-    obs::TraceSpan rung(*rung_sites[attempt]);
-    rung.arg("solve", static_cast<std::int64_t>(idx));
-    try {
-      return attempt_solve(rhs, idx, attempt);
-    } catch (const SolverError& e) {
-      last_error = e.what();
-      return SolveResult{};
-    }
-  };
-
   SolveResult sr;
   try {
-    sr = try_attempt(0);
+    sr = attempt_solve(matrix_, mg_, rhs, idx, 0, &last_error);
     for (int attempt = 1; !sr.converged && attempt <= 3; ++attempt) {
       switch (attempt) {
         case 1: ++led.health.cold_restarts; break;
@@ -603,7 +618,7 @@ ThermalResult ThermalModel::solve(const PowerMap& power) {
       // Discard the diverged iterate; every retry starts cold from ambient.
       std::fill(temperatures_.begin(), temperatures_.end(),
                 config_.package.ambient_c);
-      sr = try_attempt(attempt);
+      sr = attempt_solve(matrix_, mg_, rhs, idx, attempt, &last_error);
     }
   } catch (const CancelledError&) {
     // Cancellation is not a ladder rung: the abandoned attempt left a
@@ -650,9 +665,16 @@ void ThermalModel::reset_to_ambient() {
 ThermalResult ThermalModel::step_transient(const PowerMap& power,
                                            double dt_s) {
   TACOS_CHECK(dt_s > 0, "transient step must be positive, got " << dt_s);
+  static obs::SpanSite step_site("thermal.step", "thermal");
+  obs::TraceSpan span(step_site);
   if (dt_s != transient_dt_s_) {
+    // Level 0 of the step hierarchy references transient_matrix_: drop it
+    // before the matrix is replaced.
+    transient_mg_.reset();
     // Build (G + C/dt) once per step size: same off-diagonals as G, with
-    // C/dt added on the diagonal.
+    // C/dt added on the diagonal.  It is itself a conductance network
+    // (C/dt ties every node to a reference), so the multigrid hierarchy
+    // built for it simply sums C/dt into each aggregate's diagonal.
     std::vector<std::size_t> row_ptr = matrix_.row_ptr();
     std::vector<std::size_t> col_idx = matrix_.col_idx();
     std::vector<double> values = matrix_.values();
@@ -672,33 +694,38 @@ ThermalResult ThermalModel::step_transient(const PowerMap& power,
     transient_dt_s_ = dt_s;
   }
 
-  std::vector<double> rhs = build_rhs(power);
-  for (std::size_t i = 0; i < rhs.size(); ++i)
-    rhs[i] += capacitance_[i] / dt_s * temperatures_[i];
+  SolveLedger& led = ledger();
+  const std::size_t idx = led.solve_index++;
+  const std::vector<double> rhs = gated_rhs(power, idx, dt_s);
   // No recovery ladder here: the pre-step field *is* the simulation state,
   // and restarting a transient step from ambient would silently rewrite
   // history.  Restore the state and report instead.
   const std::vector<double> pre_step = temperatures_;
+  std::string error;
   SolveResult sr;
   try {
-    // Transient steps always use the built-in Jacobi preconditioner: the
-    // multigrid hierarchy is built for G, not for G + C/dt, and injecting
-    // a mismatched hierarchy would break CG.  config_.solve carries a null
-    // `preconditioner`, so no injection happens here even under
-    // --precond=mg (which governs steady-state solves only).
-    sr = solve_pcg(transient_matrix_, rhs, temperatures_, config_.solve);
+    sr = attempt_solve(transient_matrix_, transient_mg_, rhs, idx, 0, &error);
   } catch (const CancelledError&) {
     temperatures_ = pre_step;  // cancelled mid-step: keep history intact
     throw;
   }
   if (!sr.converged) {
-    ++ledger().health.solve_failures;
+    ++led.health.solve_failures;
     temperatures_ = pre_step;
-    throw ThermalError(ledger().solve_index, 1, sr.iterations,
-                       sr.residual_norm,
-                       "transient step did not converge (state restored)");
+    throw ThermalError(idx, 1, sr.iterations, sr.residual_norm,
+                       error.empty()
+                           ? "transient step did not converge (state restored)"
+                           : "transient step failed (state restored): " +
+                                 error);
   }
   solved_ = true;
+  if (obs::metrics_enabled()) {
+    static obs::Counter steps =
+        obs::MetricsRegistry::global().counter("thermal.steps");
+    steps.add();
+  }
+  span.arg("solve", static_cast<std::int64_t>(idx));
+  span.arg("iters", static_cast<std::int64_t>(sr.iterations));
   return make_result(sr);
 }
 
@@ -744,10 +771,21 @@ double ThermalModel::energy_balance_error(const PowerMap& power) const {
   TACOS_CHECK(solved_, "energy_balance_error() before solve()");
   const double p_in = power.total();
   if (p_in <= 0) return 0.0;
-  double p_out = 0.0;
+  return std::abs(p_in - heat_outflow_w()) / p_in;
+}
+
+double ThermalModel::stored_heat_j() const {
+  double q = 0.0;
+  for (std::size_t i = 0; i < capacitance_.size(); ++i)
+    q += capacitance_[i] * (temperatures_[i] - config_.package.ambient_c);
+  return q;
+}
+
+double ThermalModel::heat_outflow_w() const {
+  double p = 0.0;
   for (std::size_t i = 0; i < ambient_g_.size(); ++i)
-    p_out += ambient_g_[i] * (temperatures_[i] - config_.package.ambient_c);
-  return std::abs(p_in - p_out) / p_in;
+    p += ambient_g_[i] * (temperatures_[i] - config_.package.ambient_c);
+  return p;
 }
 
 }  // namespace tacos

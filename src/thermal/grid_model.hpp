@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/run_health.hpp"
@@ -111,20 +112,33 @@ class ThermalModel {
   /// |P_in - P_out_ambient| / P_in (should be ~solver tolerance).
   double energy_balance_error(const PowerMap& power) const;
 
+  /// Heat stored in the package relative to ambient, Σ C_i (T_i − T_amb),
+  /// in J.  A backward-Euler step satisfies
+  /// (stored_after − stored_before) / dt = P − heat_outflow_w().
+  double stored_heat_j() const;
+  /// Heat leaving the package to ambient, Σ g_i (T_i − T_amb), in W.
+  double heat_outflow_w() const;
+
   // --- Transient simulation -------------------------------------------
   //
   // Every node carries a thermal capacitance C = c_v * volume; a backward
   // Euler step solves (G + C/dt) T_{n+1} = C/dt * T_n + P, which is
-  // unconditionally stable and reuses the PCG machinery (the stepping
-  // matrix is SPD with the same sparsity as G plus the diagonal).  The
-  // temperature field persists across calls, so a sprint/rest schedule is
-  // just a sequence of step_transient() calls with different power maps.
+  // unconditionally stable and runs on the steady-state machinery (the
+  // stepping matrix is SPD with the same sparsity as G plus the diagonal,
+  // and gets its own multigrid hierarchy when steady_precond() picks
+  // one).  The temperature field persists across calls, so a sprint/rest
+  // schedule is just a sequence of step_transient() calls with different
+  // power maps.
 
   /// Reset the temperature field to ambient (initial transient state).
   void reset_to_ambient();
 
   /// Advance the field by `dt_s` seconds under `power` (backward Euler).
-  /// Returns the peak silicon temperature after the step.
+  /// Returns the peak silicon temperature after the step.  A step takes a
+  /// solve index from the ledger and shares solve()'s input gate, fault
+  /// hooks and warm rung, but never climbs the recovery ladder: the
+  /// pre-step field is the simulation state, so on failure it is
+  /// restored and ThermalError is thrown.
   ThermalResult step_transient(const PowerMap& power, double dt_s);
 
   /// Current peak silicon temperature without solving anything.
@@ -133,16 +147,16 @@ class ThermalModel {
   /// Total thermal capacitance of the package (J/K) — for tests.
   double total_capacitance() const;
 
-  /// The preconditioner steady-state solves will use, with kAuto resolved:
-  /// config.solve.precond if explicit, otherwise multigrid above a size
-  /// threshold and Jacobi below it.  Transient steps always use Jacobi
-  /// (the stepping matrix G + C/dt is a different operator than the
-  /// hierarchy was built for).
+  /// The preconditioner solves and transient steps use, with kAuto
+  /// resolved: config.solve.precond if explicit, otherwise multigrid above
+  /// a size threshold and Jacobi below it.  Steady solves and steps each
+  /// get a hierarchy built for their own operator (G, or G + C/dt).
   PrecondKind steady_precond() const;
 
-  /// The lazily-built multigrid hierarchy, or nullptr if no steady-state
-  /// solve has needed it yet.  Cached for the model's lifetime — the
-  /// Evaluator's model LRU therefore caches hierarchy and model together.
+  /// The lazily-built multigrid hierarchy for G, or nullptr if no
+  /// steady-state solve has needed it yet.  Cached for the model's
+  /// lifetime — the Evaluator's model LRU therefore caches hierarchy and
+  /// model together.
   const MultigridPreconditioner* multigrid() const { return mg_.get(); }
 
   // --- Adjoint sensitivities (continuous spacing refinement) ----------
@@ -196,13 +210,27 @@ class ThermalModel {
   SolveLedger& ledger() { return ledger_ ? *ledger_ : own_ledger_; }
   const SolveLedger& ledger() const { return ledger_ ? *ledger_ : own_ledger_; }
 
-  /// One steady-state attempt of the recovery ladder; honors the fault
-  /// plan's forced failures for (solve_index, attempt).
-  SolveResult attempt_solve(const std::vector<double>& rhs,
-                            std::size_t solve_index, int attempt);
+  /// One rung of the recovery ladder on operator `A` (matrix_ or
+  /// transient_matrix_) under its `thermal.rung.*` span; honors the fault
+  /// plan's forced failures for (solve_index, attempt).  PCG rungs use
+  /// the hierarchy in `mg` (built on first use).  A SolverError is
+  /// reported as non-convergence, its message left in `error`.
+  SolveResult attempt_solve(const CsrMatrix& A,
+                            std::unique_ptr<MultigridPreconditioner>& mg,
+                            const std::vector<double>& rhs,
+                            std::size_t solve_index, int attempt,
+                            std::string* error);
 
-  /// Build (once) and return the multigrid hierarchy for steady solves.
-  MultigridPreconditioner* multigrid_for_solve();
+  /// The multigrid hierarchy for `A`, built into `slot` on first use;
+  /// nullptr when steady_precond() picks Jacobi.
+  MultigridPreconditioner* multigrid_for(
+      const CsrMatrix& A, std::unique_ptr<MultigridPreconditioner>& slot);
+
+  /// The right-hand side for `power` (plus C/dt · T for a step of
+  /// dt_s > 0) after the fault plan's NaN injection and the input gate:
+  /// non-finite entries throw ThermalError and leave the field untouched.
+  std::vector<double> gated_rhs(const PowerMap& power,
+                                std::size_t solve_index, double dt_s);
 
   GridSpec grid_;
   ThermalConfig config_;
@@ -237,11 +265,13 @@ class ThermalModel {
   bool adjoint_valid_ = false;       ///< adjoint_ holds a converged solve
   CsrMatrix transient_matrix_;       ///< G + C/dt for the cached dt
   double transient_dt_s_ = 0.0;      ///< dt the cached matrix was built for
+  /// Hierarchy for transient_matrix_ (lazy; dropped whenever dt changes).
+  std::unique_ptr<MultigridPreconditioner> transient_mg_;
   // Tile rasterization cache: per tile, list of (cell, weight).
   std::vector<std::vector<std::pair<std::size_t, double>>> tile_cells_;
   std::vector<std::vector<std::pair<std::size_t, double>>> chiplet_cells_;
   bool solved_ = false;
-  std::unique_ptr<MultigridPreconditioner> mg_;  ///< lazy; steady-state only
+  std::unique_ptr<MultigridPreconditioner> mg_;  ///< hierarchy for G (lazy)
   SolveLedger* ledger_ = nullptr;  ///< external accounting (Evaluator shard)
   SolveLedger own_ledger_;         ///< fallback for standalone models
 };

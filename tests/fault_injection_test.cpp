@@ -177,6 +177,64 @@ TEST(FaultInjection, NanPowerInputRejectedAndFieldUntouched) {
   EXPECT_GT(r.peak_c, 0.0);
 }
 
+// --- Transient steps: same fault hooks, no ladder. -----------------------
+
+/// Every gridded layer's field, plus the stored heat summed over all
+/// nodes (which covers the lumped ones): equal vectors mean an identical
+/// temperature field.
+std::vector<double> full_field(const ThermalModel& m) {
+  std::vector<double> out;
+  for (std::size_t l = 0; l < m.layer_count(); ++l) {
+    const std::vector<double> f = m.layer_field(l);
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  out.push_back(m.stored_heat_j());
+  return out;
+}
+
+TEST(FaultInjection, FailedTransientStepRestoresFieldAndNextStepRuns) {
+  // Steps take solve indices from the ledger, so the plan reaches them:
+  // step 3 is forced to fail and step 5 gets a NaN right-hand side.  A
+  // failed step throws, restores the pre-step field bit for bit and never
+  // retries; the following step runs exactly as on a model that never
+  // attempted the failed one.
+  for (const PrecondKind precond :
+       {PrecondKind::kJacobi, PrecondKind::kMultigrid}) {
+    ThermalConfig cfg = small_thermal_config();
+    cfg.solve.precond = precond;
+    ThermalConfig faulty_cfg = cfg;
+    faulty_cfg.solve.fault.pcg_fail_at = 3;
+    faulty_cfg.solve.fault.nan_rhs_at = 5;
+    Rig faulted(faulty_cfg);
+    Rig clean(cfg);
+    faulted.model.reset_to_ambient();
+    clean.model.reset_to_ambient();
+    for (std::size_t k = 0; k < 7; ++k) {
+      const PowerMap p = uniform_power(faulted.layout, 150.0 + 20.0 * k);
+      const std::vector<double> before = full_field(faulted.model);
+      if (k == 3 || k == 5) {
+        try {
+          faulted.model.step_transient(p, 0.05);
+          FAIL() << "step " << k << ": expected ThermalError";
+        } catch (const ThermalError& e) {
+          EXPECT_EQ(e.solve_index(), k);
+        }
+        EXPECT_EQ(full_field(faulted.model), before) << "step " << k;
+        continue;
+      }
+      const ThermalResult r = faulted.model.step_transient(p, 0.05);
+      EXPECT_TRUE(r.solve_info.converged) << "step " << k;
+      clean.model.step_transient(p, 0.05);
+      EXPECT_EQ(full_field(faulted.model), full_field(clean.model))
+          << "step " << k;
+    }
+    const RunHealth& h = faulted.model.health();
+    EXPECT_EQ(h.solve_failures, 1u);
+    EXPECT_EQ(h.nonfinite_inputs, 1u);
+    EXPECT_EQ(h.retries(), 0u);  // steps never climb the recovery ladder
+  }
+}
+
 // --- Leakage fixed-point non-convergence propagation. --------------------
 
 TEST(FaultInjection, LeakageNonConvergencePropagatesToEvalAndHealth) {

@@ -51,27 +51,57 @@ std::vector<double> solve_at(std::size_t threads, PrecondKind precond) {
   return model.tile_temperatures();
 }
 
-void expect_bit_identical_across_threads(PrecondKind precond) {
-  const std::vector<double> t1 = solve_at(1, precond);
-  const std::vector<double> t2 = solve_at(2, precond);
-  const std::vector<double> t8 = solve_at(8, precond);
+/// `run(threads)` returns temperatures; they must be bit-identical at 1, 2
+/// and 8 threads.
+template <typename Run>
+void expect_bit_identical_across_threads(Run run) {
+  const std::vector<double> t1 = run(1);
+  const std::vector<double> t2 = run(2);
+  const std::vector<double> t8 = run(8);
   ASSERT_EQ(t1.size(), t2.size());
   ASSERT_EQ(t1.size(), t8.size());
   for (std::size_t i = 0; i < t1.size(); ++i) {
     // Exact equality on doubles is the point of the chunked reductions.
-    EXPECT_EQ(t1[i], t2[i]) << "tile " << i;
-    EXPECT_EQ(t1[i], t8[i]) << "tile " << i;
+    EXPECT_EQ(t1[i], t2[i]) << "value " << i;
+    EXPECT_EQ(t1[i], t8[i]) << "value " << i;
   }
 }
 
 TEST(ParallelDeterminism, SolverBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  expect_bit_identical_across_threads(PrecondKind::kJacobi);
+  expect_bit_identical_across_threads(
+      [](std::size_t t) { return solve_at(t, PrecondKind::kJacobi); });
 }
 
 TEST(ParallelDeterminism, MultigridSolveBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
-  expect_bit_identical_across_threads(PrecondKind::kMultigrid);
+  expect_bit_identical_across_threads(
+      [](std::size_t t) { return solve_at(t, PrecondKind::kMultigrid); });
+}
+
+/// Ten multigrid transient steps from ambient at `threads` pool threads
+/// (grid 40, so the hierarchy's fine level and its column solves run on
+/// the pool); returns the exact tile temperatures after every step.
+std::vector<double> steps_at(std::size_t threads) {
+  ThreadPool::set_global_threads(threads);
+  const ChipletLayout l = make_uniform_layout(4, 4.0);
+  ThermalConfig cfg;
+  cfg.grid_nx = cfg.grid_ny = 40;
+  cfg.solve.precond = PrecondKind::kMultigrid;
+  ThermalModel model(l, make_25d_stack(), cfg);
+  model.reset_to_ambient();
+  std::vector<double> out;
+  for (int k = 0; k < 10; ++k) {
+    model.step_transient(uniform_power(l, k % 2 == 0 ? 300.0 : 150.0), 0.25);
+    const std::vector<double> t = model.tile_temperatures();
+    out.insert(out.end(), t.begin(), t.end());
+  }
+  return out;
+}
+
+TEST(ParallelDeterminism, MultigridTransientStepsBitIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  expect_bit_identical_across_threads(steps_at);
 }
 
 TEST(ParallelDeterminism, JacobiAndMultigridAgreeWithinTolerance) {

@@ -149,7 +149,7 @@ std::uint64_t g_serve_hold_ms = 0;     ///< --fault-serve-hold-ms (testing)
 FidelityMode g_fidelity = FidelityMode::kFull;
 /// --surrogate-keep-frac: fraction of confident rejects audited anyway.
 double g_keep_frac = 0.0;
-/// --mg-mixed: float smoothing sweeps inside the MG preconditioner.
+/// --mg-mixed: single-precision A·z in the MG preconditioner's smoother.
 bool g_mg_mixed = false;
 
 /// --refine: continuous adjoint-gradient spacing refinement of each grid
