@@ -10,6 +10,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -311,6 +312,8 @@ std::optional<std::string> RunJournal::find(const std::string& id) const {
 }
 
 void RunJournal::append(const std::string& id, const std::string& payload) {
+  static obs::SpanSite append_site("journal.append", "journal");
+  obs::TraceSpan span(append_site);
   std::lock_guard<std::mutex> lk(mu_);
   if (index_.count(id)) return;  // idempotent (resume re-runs are no-ops)
   index_.emplace(id, records_.size());

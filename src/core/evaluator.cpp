@@ -63,34 +63,56 @@ int Evaluator::bench_index(const BenchmarkProfile& bench) const {
   return -1;  // unreachable
 }
 
+void Evaluator::count_lookup(Cache cache, bool hit) {
+  if (!obs::metrics_enabled()) return;
+  struct Meter {
+    obs::Counter hit, miss;
+    explicit Meter(const std::string& name)
+        : hit(obs::MetricsRegistry::global().counter(name + ".hit")),
+          miss(obs::MetricsRegistry::global().counter(name + ".miss")) {}
+  };
+  static Meter meters[] = {Meter("eval.cache.model"),
+                           Meter("eval.cache.medium"),
+                           Meter("eval.cache.memo")};
+  Meter& m = meters[static_cast<int>(cache)];
+  (hit ? m.hit : m.miss).add();
+}
+
 std::shared_ptr<Evaluator::ModelEntry> Evaluator::model_for(
-    const Organization& org) {
+    ModelCache& cache, const Organization& org, const ThermalConfig& thermal,
+    SolveLedger& ledger) {
   const LayoutKey key = LayoutKey::of(org);
-  if (auto it = model_index_.find(key); it != model_index_.end()) {
-    model_lru_.splice(model_lru_.begin(), model_lru_, it->second);
-    return model_lru_.front().second;
+  const auto it = cache.index.find(key);
+  count_lookup(cache.kind, it != cache.index.end());
+  if (it != cache.index.end()) {
+    cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
+    return cache.lru.front().second;
   }
   auto entry = std::make_shared<ModelEntry>();
   entry->layout =
       std::make_unique<ChipletLayout>(layout_for(org, config_.spec));
   const LayerStack stack =
       org.n_chiplets == 1 ? make_2d_stack() : make_25d_stack();
-  entry->model =
-      std::make_unique<ThermalModel>(*entry->layout, stack, config_.thermal);
-  // All models of this shard share one ledger: the fault plan's solve
-  // clock keeps ticking across model-cache evictions, and the health
-  // counters survive them.
-  entry->model->set_ledger(&ledger_);
-  model_lru_.emplace_front(key, entry);
-  model_index_[key] = model_lru_.begin();
+  entry->model = std::make_unique<ThermalModel>(*entry->layout, stack, thermal);
+  // All models of a cache share one ledger: the fault plan's solve clock
+  // keeps ticking across evictions, and the health counters survive them.
+  entry->model->set_ledger(&ledger);
+  cache.lru.emplace_front(key, entry);
+  cache.index[key] = cache.lru.begin();
   // Eviction only drops the cache's reference; the shared handle we are
   // about to return keeps the new entry alive for the caller even when
   // capacity is 0 and the entry is evicted immediately.
-  while (model_lru_.size() > config_.model_cache_capacity) {
-    model_index_.erase(model_lru_.back().first);
-    model_lru_.pop_back();
+  while (cache.lru.size() > config_.model_cache_capacity) {
+    cache.index.erase(cache.lru.back().first);
+    cache.lru.pop_back();
   }
   return entry;
+}
+
+const ThermalEval* Evaluator::memo_find(const EvalKey& key) const {
+  const auto it = eval_memo_.find(key);
+  count_lookup(Cache::kMemo, it != eval_memo_.end());
+  return it != eval_memo_.end() ? &it->second : nullptr;
 }
 
 double Evaluator::reference_power(const Organization& org,
@@ -109,9 +131,13 @@ const ThermalEval& Evaluator::thermal_eval(const Organization& org,
                                            const BenchmarkProfile& bench) {
   const EvalKey key{LayoutKey::of(org), bench_index(bench), org.dvfs_idx,
                     org.active_cores};
-  if (auto it = eval_memo_.find(key); it != eval_memo_.end())
-    return it->second;
+  if (const ThermalEval* hit = memo_find(key)) return *hit;
+  return evaluate(key, org, bench);
+}
 
+const ThermalEval& Evaluator::evaluate(const EvalKey& key,
+                                       const Organization& org,
+                                       const BenchmarkProfile& bench) {
   // Cache misses only: a memo hit costs nothing and traces nothing.
   static obs::SpanSite eval_site("eval.thermal", "eval");
   obs::TraceSpan span(eval_site);
@@ -122,7 +148,8 @@ const ThermalEval& Evaluator::thermal_eval(const Organization& org,
     span.arg("p", static_cast<std::int64_t>(org.active_cores));
   }
 
-  const std::shared_ptr<ModelEntry> entry = model_for(org);
+  const std::shared_ptr<ModelEntry> entry =
+      model_for(models_, org, config_.thermal, ledger_);
   const DvfsLevel& lvl = level_of(org);
   const std::vector<int> active =
       active_tiles(config_.policy, org.active_cores, config_.spec);
@@ -184,7 +211,8 @@ Evaluator::PeakGradient Evaluator::peak_gradient(
     span.arg("p", static_cast<std::int64_t>(org.active_cores));
   }
 
-  const std::shared_ptr<ModelEntry> entry = model_for(org);
+  const std::shared_ptr<ModelEntry> entry =
+      model_for(models_, org, config_.thermal, ledger_);
   const DvfsLevel& lvl = level_of(org);
   const std::vector<int> active =
       active_tiles(config_.policy, org.active_cores, config_.spec);
@@ -271,10 +299,10 @@ bool Evaluator::feasible(const Organization& org,
                          const BenchmarkProfile& bench, double threshold_c) {
   const EvalKey key{LayoutKey::of(org), bench_index(bench), org.dvfs_idx,
                     org.active_cores};
-  if (auto it = eval_memo_.find(key); it != eval_memo_.end())
-    return it->second.peak_c <= threshold_c;
+  if (const ThermalEval* hit = memo_find(key))
+    return hit->peak_c <= threshold_c;
   if (const auto v = frontier_verdict(key, org, bench, threshold_c)) return *v;
-  return thermal_eval(org, bench).peak_c <= threshold_c;
+  return evaluate(key, org, bench).peak_c <= threshold_c;
 }
 
 double Evaluator::ips(const Organization& org,
@@ -383,30 +411,6 @@ bool Evaluator::medium_available() {
   return medium_thermal_.has_value();
 }
 
-std::shared_ptr<Evaluator::ModelEntry> Evaluator::medium_model_for(
-    const Organization& org) {
-  const LayoutKey key = LayoutKey::of(org);
-  if (auto it = medium_index_.find(key); it != medium_index_.end()) {
-    medium_lru_.splice(medium_lru_.begin(), medium_lru_, it->second);
-    return medium_lru_.front().second;
-  }
-  auto entry = std::make_shared<ModelEntry>();
-  entry->layout =
-      std::make_unique<ChipletLayout>(layout_for(org, config_.spec));
-  const LayerStack stack =
-      org.n_chiplets == 1 ? make_2d_stack() : make_25d_stack();
-  entry->model =
-      std::make_unique<ThermalModel>(*entry->layout, stack, *medium_thermal_);
-  entry->model->set_ledger(&medium_ledger_);
-  medium_lru_.emplace_front(key, entry);
-  medium_index_[key] = medium_lru_.begin();
-  while (medium_lru_.size() > config_.model_cache_capacity) {
-    medium_index_.erase(medium_lru_.back().first);
-    medium_lru_.pop_back();
-  }
-  return entry;
-}
-
 bool Evaluator::audit_due() {
   ++confident_rejects_;
   const double f = config_.ladder.keep_frac;
@@ -429,7 +433,8 @@ std::optional<double> Evaluator::medium_estimate(const EvalKey& key,
   static obs::SpanSite r2_site("eval.rung2", "eval");
   obs::TraceSpan span(r2_site);
   try {
-    const std::shared_ptr<ModelEntry> entry = medium_model_for(org);
+    const std::shared_ptr<ModelEntry> entry =
+        model_for(medium_models_, org, *medium_thermal_, medium_ledger_);
     const std::vector<int> active =
         active_tiles(config_.policy, org.active_cores, config_.spec);
     const LeakageResult lr = run_leakage_fixed_point(
@@ -457,8 +462,8 @@ bool Evaluator::screen_infeasible(const Organization& org,
                     org.active_cores};
   // An exact memoized answer beats the rung (and costs nothing).  Only
   // converged results reject — same discipline as the frontier.
-  if (auto it = eval_memo_.find(key); it != eval_memo_.end())
-    return it->second.leak_converged && it->second.peak_c > reject_above_c;
+  if (const ThermalEval* hit = memo_find(key))
+    return hit->leak_converged && hit->peak_c > reject_above_c;
 
   ++ladder_stats_.screened;
   // Full leakage fixed point on a half-resolution model (separate cache
@@ -483,16 +488,15 @@ Evaluator::WalkEval Evaluator::walk_eval(const Organization& org,
                                          const BenchmarkProfile& bench,
                                          double threshold_c,
                                          double prune_above_c) {
+  const EvalKey key{LayoutKey::of(org), bench_index(bench), org.dvfs_idx,
+                    org.active_cores};
+  if (const ThermalEval* hit = memo_find(key))
+    return WalkEval{hit->peak_c, 0.0, true, hit->peak_c <= threshold_c};
   const auto exact_of = [&]() -> WalkEval {
-    const double peak = thermal_eval(org, bench).peak_c;
+    const double peak = evaluate(key, org, bench).peak_c;
     return WalkEval{peak, 0.0, true, peak <= threshold_c};
   };
   if (!ladder_active()) return exact_of();
-  const EvalKey key{LayoutKey::of(org), bench_index(bench), org.dvfs_idx,
-                    org.active_cores};
-  if (auto it = eval_memo_.find(key); it != eval_memo_.end())
-    return WalkEval{it->second.peak_c, 0.0, true,
-                    it->second.peak_c <= threshold_c};
   // The same margin-guarded frontier shortcut the full path's feasible()
   // takes.  A deduced-feasible verdict commits without a solve in either
   // mode; a deduced-infeasible one settles feasibility but not the peak.

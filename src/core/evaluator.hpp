@@ -8,7 +8,8 @@
 /// three caches that make the optimization tractable on one machine:
 ///
 ///   1. a layout-keyed LRU of assembled ThermalModel instances (matrix
-///      assembly is geometry-only and reusable across power maps);
+///      assembly and the multigrid hierarchy are geometry-only and
+///      reusable across power maps);
 ///   2. an exact evaluation memo keyed by (layout, benchmark, f, p);
 ///   3. a monotone "thermal frontier" per (layout, p): peak temperature is
 ///      monotone in the injected reference power for a fixed layout and
@@ -147,7 +148,11 @@ struct EvalConfig {
   /// only drawn when the bounding peak is at least this far from the
   /// threshold; otherwise an exact simulation is run.
   double frontier_margin_c = 1.0;
-  std::size_t model_cache_capacity = 48;
+  /// Models kept by each of the two model LRUs (full and medium).  Every
+  /// entry holds its multigrid hierarchy; the sweeps hit only the most
+  /// recently used model, so a deeper cache buys nothing but memory
+  /// (docs/PERFORMANCE.md, "The paper sweep on multigrid").
+  std::size_t model_cache_capacity = 8;
   /// Multi-fidelity evaluation ladder (off — kFull — by default).
   LadderOptions ladder;
 };
@@ -345,12 +350,36 @@ class Evaluator {
     std::unique_ptr<ThermalModel> model;
   };
 
-  /// Fetch (or build) the model for `org`'s layout.  Returns a shared
-  /// handle: callers hold it across the whole solve, so an LRU eviction —
+  /// The lookup caches, named for their `eval.cache.<name>.{hit,miss}`
+  /// counters (docs/OBSERVABILITY.md).
+  enum class Cache { kModel, kMedium, kMemo };
+  /// Count one lookup of `cache` (only while metrics are on).
+  static void count_lookup(Cache cache, bool hit);
+
+  /// A layout-keyed LRU of built models: the full-resolution models and
+  /// the medium rung's are two of these.
+  struct ModelCache {
+    using List = std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>>;
+    Cache kind;
+    List lru;
+    std::map<LayoutKey, List::iterator> index;
+  };
+
+  /// Fetch (or build, with `thermal` and accounting into `ledger`) the
+  /// model for `org`'s layout from `cache`.  Returns a shared handle:
+  /// callers hold it across the whole solve, so an LRU eviction —
   /// including the degenerate capacity-0 case, where the entry is evicted
   /// on the very call that built it — can never destroy a model (and its
   /// cached multigrid hierarchy) out from under an in-flight evaluation.
-  std::shared_ptr<ModelEntry> model_for(const Organization& org);
+  std::shared_ptr<ModelEntry> model_for(ModelCache& cache,
+                                        const Organization& org,
+                                        const ThermalConfig& thermal,
+                                        SolveLedger& ledger);
+  /// The memoized evaluation of `key`, or nullptr; counts the lookup.
+  const ThermalEval* memo_find(const EvalKey& key) const;
+  /// Run and memoize the full evaluation of a `key` the memo lacks.
+  const ThermalEval& evaluate(const EvalKey& key, const Organization& org,
+                              const BenchmarkProfile& bench);
   int bench_index(const BenchmarkProfile& bench) const;
   /// Monotone-frontier deduction for feasibility at `threshold_c`:
   /// true/false when a margin-guarded bound decides it, nullopt otherwise.
@@ -388,8 +417,6 @@ class Evaluator {
                     double reject_above_c) const;
   /// Medium-rung availability (lazy medium-config construction).
   bool medium_available();
-  /// Medium-resolution twin of model_for (separate LRU + ledger).
-  std::shared_ptr<ModelEntry> medium_model_for(const Organization& org);
   /// Memoized medium-rung estimate (converged medium-grid leakage fixed
   /// point); registers the pending calibration pair.  nullopt when the
   /// medium rung is unavailable, failed, or did not converge — callers
@@ -410,12 +437,7 @@ class Evaluator {
   EvalConfig config_;
   double cost_2d_ = 0.0;
 
-  // LRU model cache (shared_ptr entries: see model_for on eviction safety).
-  std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>> model_lru_;
-  std::map<LayoutKey,
-           std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>>::
-               iterator>
-      model_index_;
+  ModelCache models_{Cache::kModel, {}, {}};
 
   std::map<EvalKey, ThermalEval> eval_memo_;
   std::map<FrontierKey, std::vector<std::pair<double, double>>> frontier_;
@@ -457,11 +479,7 @@ class Evaluator {
   /// ledger's solve index is the clock FaultPlan::screen_fail_* targets).
   bool medium_init_ = false;
   std::optional<ThermalConfig> medium_thermal_;
-  std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>> medium_lru_;
-  std::map<LayoutKey,
-           std::list<std::pair<LayoutKey, std::shared_ptr<ModelEntry>>>::
-               iterator>
-      medium_index_;
+  ModelCache medium_models_{Cache::kMedium, {}, {}};
   SolveLedger medium_ledger_;
 };
 

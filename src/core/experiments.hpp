@@ -27,8 +27,8 @@ struct ExperimentOptions {
   int starts = 10;             ///< greedy starting points (paper uses 10)
   double threshold_c = 85.0;   ///< temperature threshold (Eq. 6)
   std::uint64_t seed = 2018;
-  /// Steady-state PCG preconditioner (`--precond={auto,jacobi,mg}`): auto
-  /// picks multigrid above ThermalModel's size threshold.
+  /// PCG preconditioner of solves and steps (`--precond={auto,jacobi,mg}`):
+  /// auto resolves to multigrid (ThermalModel::steady_precond).
   PrecondKind precond = PrecondKind::kAuto;
   /// Continuous adjoint-gradient spacing refinement of each 16-chiplet
   /// grid winner (`--refine`, `--refine-tol-mm=T`); off by default so the

@@ -3,12 +3,12 @@
 /// \brief Iterative linear solvers for the SPD thermal conductance system.
 ///
 /// The production path is a preconditioned conjugate-gradient solver with
-/// a pluggable SPD preconditioner: Jacobi by default, or the geometric
-/// multigrid V-cycle (linalg/multigrid.hpp) that ThermalModel injects for
-/// large systems.  Gauss-Seidel is kept as an independent reference
-/// implementation used by the test suite to cross-check CG on small
-/// systems.  Both solvers support warm starts, which the sweep harnesses
-/// exploit heavily (adjacent sweep points have nearly identical
+/// a pluggable SPD preconditioner: the geometric multigrid V-cycle
+/// (linalg/multigrid.hpp) that ThermalModel injects, or Jacobi when
+/// solve_pcg is given none.  Gauss-Seidel is kept as an independent
+/// reference implementation used by the test suite to cross-check CG on
+/// small systems.  Both solvers support warm starts, which the sweep
+/// harnesses exploit heavily (adjacent sweep points have nearly identical
 /// temperature fields).
 ///
 /// Performance & determinism
@@ -68,9 +68,9 @@ class JacobiPreconditioner final : public Preconditioner {
 /// Preconditioner selection, carried through the one config path
 /// (SolveOptions → ThermalConfig → EvalConfig) so `--precond=jacobi|mg`
 /// reaches every layer.  kAuto lets the owner of the system choose:
-/// ThermalModel picks multigrid above a size threshold and Jacobi below
-/// it.  solve_pcg itself never consults this field — it only looks at
-/// SolveOptions::preconditioner.
+/// ThermalModel resolves it to multigrid at every size (Jacobi runs only
+/// under an explicit kJacobi).  solve_pcg itself never consults this
+/// field — it only looks at SolveOptions::preconditioner.
 enum class PrecondKind { kAuto, kJacobi, kMultigrid };
 
 /// Flag-value parsing for --precond= ("auto", "jacobi", "mg").

@@ -27,13 +27,6 @@ double convection_conductance(double h, double area_mm2) {
 /// Iteration-cap multiplier for the recovery ladder's raised-cap retry.
 constexpr std::size_t kCapRaiseFactor = 4;
 
-/// System size (unknowns) at which PrecondKind::kAuto selects the
-/// multigrid preconditioner for steady-state solves.  Grid 32 at the
-/// paper's layer stacks (32·32·8 + 12 = 8204 unknowns) is the smallest
-/// production configuration and engages multigrid; the tiny grids the
-/// unit tests use stay on Jacobi, whose setup is essentially free.
-constexpr std::size_t kMultigridAutoThreshold = 8192;
-
 }  // namespace
 
 ThermalModel::ThermalModel(const ChipletLayout& layout, const LayerStack& stack,
@@ -500,13 +493,12 @@ double ThermalModel::conductance_sensitivity(
 }
 
 PrecondKind ThermalModel::steady_precond() const {
-  switch (config_.solve.precond) {
-    case PrecondKind::kJacobi: return PrecondKind::kJacobi;
-    case PrecondKind::kMultigrid: return PrecondKind::kMultigrid;
-    case PrecondKind::kAuto: break;
-  }
-  return matrix_.rows() >= kMultigridAutoThreshold ? PrecondKind::kMultigrid
-                                                   : PrecondKind::kJacobi;
+  // kAuto is multigrid at every size: the line-smoothed V-cycle beats
+  // Jacobi even on the medium rung's grid-12 models (docs/PERFORMANCE.md,
+  // "The multigrid preconditioner"), so Jacobi runs only when asked for.
+  return config_.solve.precond == PrecondKind::kJacobi
+             ? PrecondKind::kJacobi
+             : PrecondKind::kMultigrid;
 }
 
 MultigridPreconditioner* ThermalModel::multigrid_for(

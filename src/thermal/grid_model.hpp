@@ -147,10 +147,11 @@ class ThermalModel {
   /// Total thermal capacitance of the package (J/K) — for tests.
   double total_capacitance() const;
 
-  /// The preconditioner solves and transient steps use, with kAuto
-  /// resolved: config.solve.precond if explicit, otherwise multigrid above
-  /// a size threshold and Jacobi below it.  Steady solves and steps each
-  /// get a hierarchy built for their own operator (G, or G + C/dt).
+  /// The preconditioner solves, transient steps and adjoints use, with
+  /// kAuto resolved: Jacobi only when config.solve.precond asks for it,
+  /// multigrid otherwise (kAuto included, at every grid size).  Steady
+  /// solves and steps each get a hierarchy built for their own operator
+  /// (G, or G + C/dt).
   PrecondKind steady_precond() const;
 
   /// The lazily-built multigrid hierarchy for G, or nullptr if no
@@ -180,12 +181,12 @@ class ThermalModel {
   /// steady state, where e_p selects the same argmax cell make_result
   /// reports peak_c from (hottest majority-covered CMOS cell, falling
   /// back to the layer max).  Uses the same matrix, chunked kernels and
-  /// (for large systems) multigrid preconditioner as the forward solve —
-  /// bit-identical at any thread count — warm-started from the previous
-  /// adjoint field.  Does NOT advance the solve ledger's clock or mutate
-  /// the temperature field: fault-plan indices keep targeting forward
-  /// solves only.  Throws ThermalError if PCG fails even after a cold
-  /// restart.  The returned reference stays valid until the next call.
+  /// preconditioner as the forward solve (bit-identical at any thread
+  /// count), warm-started from the previous adjoint field.  Does NOT
+  /// advance the solve ledger's clock or mutate the temperature field:
+  /// fault-plan indices keep targeting forward solves only.  Throws
+  /// ThermalError if PCG fails even after a cold restart.  The returned
+  /// reference stays valid until the next call.
   const std::vector<double>& adjoint_peak(AdjointInfo* info = nullptr);
 
   /// Conductance term of the adjoint chain: −λᵀ(∂K/∂f)T · df where

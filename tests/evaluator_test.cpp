@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/errors.hpp"
 #include "core/evaluator.hpp"
+#include "core/optimizer.hpp"
+#include "obs/metrics.hpp"
 
 namespace tacos {
 namespace {
@@ -163,6 +168,69 @@ TEST(Evaluator, ModelCacheCapacityZeroAndOneMatchLargeCache) {
     EXPECT_NEAR(peaks[0][i], peaks[2][i], 1e-5) << "org " << i;
     EXPECT_NEAR(peaks[1][i], peaks[2][i], 1e-5) << "org " << i;
   }
+}
+
+/// Counters recorded while `run` executes with metrics on.
+template <class Run>
+std::map<std::string, double> counters_of(Run run) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::global().reset_values();
+  run();
+  obs::set_metrics_enabled(false);
+  std::map<std::string, double> c;
+  for (const auto& [name, v] :
+       obs::MetricsRegistry::global().snapshot().counters)
+    c[name] = v;
+  return c;
+}
+
+TEST(Evaluator, CacheCountersMatchLookupsAndModelsBuilt) {
+  // Seven memo lookups over three layouts at model capacity 2: every memo
+  // miss looks up a model once, and every model miss builds one.
+  EvalConfig cfg = fast_config(12);
+  cfg.model_cache_capacity = 2;
+  Evaluator eval(cfg);
+  const Organization a0{16, {0.5, 0.25, 0.5}, 0, 128};
+  const Organization a2{16, {0.5, 0.25, 0.5}, 2, 128};
+  const Organization a4{16, {0.5, 0.25, 0.5}, 4, 128};
+  const Organization b0{16, {1.0, 0.5, 1.0}, 0, 128};
+  const Organization c0{4, {0, 0, 2.0}, 0, 128};
+  auto c = counters_of([&] {
+    eval.thermal_eval(a0, cholesky());  // memo miss, model miss (builds A)
+    eval.thermal_eval(a2, cholesky());  // memo miss, model hit
+    eval.thermal_eval(a0, cholesky());  // memo hit
+    eval.thermal_eval(b0, cholesky());  // memo miss, model miss (builds B)
+    eval.thermal_eval(c0, cholesky());  // memo miss, model miss (evicts A)
+    eval.thermal_eval(a4, cholesky());  // memo miss, model miss (rebuilds A)
+    eval.feasible(b0, cholesky(), 85.0);  // memo hit
+  });
+  EXPECT_EQ(c["eval.cache.memo.hit"], 2.0);
+  EXPECT_EQ(c["eval.cache.memo.miss"], 5.0);
+  EXPECT_EQ(c["eval.cache.model.hit"], 1.0);
+  EXPECT_EQ(c["eval.cache.model.miss"], 4.0);
+  EXPECT_EQ(c["eval.cache.medium.hit"] + c["eval.cache.medium.miss"], 0.0);
+  EXPECT_EQ(c["eval.cache.memo.hit"] + c["eval.cache.memo.miss"], 7.0);
+  EXPECT_EQ(c["eval.cache.model.hit"] + c["eval.cache.model.miss"],
+            static_cast<double>(eval.eval_count()));
+  EXPECT_EQ(c["eval.cache.model.miss"], c["span.thermal.build.calls"]);
+
+  // A ladder sweep exercises the medium cache as well: the two model
+  // caches' misses are exactly the models built, and every full
+  // evaluation looked its model up once.
+  EvalConfig lcfg = fast_config(16);
+  lcfg.ladder.mode = FidelityMode::kLadder;
+  Evaluator ladder(lcfg);
+  OptimizerOptions oo;
+  oo.step_mm = 2.0;
+  c = counters_of([&] { optimize_greedy(ladder, cholesky(), oo); });
+  EXPECT_GT(c["eval.cache.medium.miss"], 0.0);
+  EXPECT_GT(c["eval.cache.medium.hit"] + c["eval.cache.model.hit"], 0.0);
+  EXPECT_EQ(c["eval.cache.model.miss"] + c["eval.cache.medium.miss"],
+            c["span.thermal.build.calls"]);
+  EXPECT_EQ(c["eval.cache.model.hit"] + c["eval.cache.model.miss"],
+            static_cast<double>(ladder.eval_count()));
+  EXPECT_GE(c["eval.cache.memo.miss"],
+            static_cast<double>(ladder.eval_count()));
 }
 
 TEST(Evaluator, QuarantinedEvaluationRecordsNothing) {

@@ -18,10 +18,11 @@ namespace {
 
 // The multigrid preconditioner contract: the hierarchy matches the
 // thermal grid geometry and coarsens to a direct solve; the V-cycle is a
-// symmetric positive-definite operator (CG requires it); preconditioned
-// solves land on the same temperatures as Jacobi in >= 3x fewer
-// iterations on production-sized systems; and the recovery ladder /
-// fault-injection machinery is preconditioner-agnostic.
+// symmetric positive-definite operator (CG requires it); kAuto selects it
+// at every grid size; preconditioned solves land on the same temperatures
+// as Jacobi in >= 3x fewer iterations on production-sized systems; and
+// the recovery ladder / fault-injection machinery is
+// preconditioner-agnostic.
 
 PowerMap uniform_power(const ChipletLayout& l, double total_w) {
   PowerMap p;
@@ -189,16 +190,37 @@ TEST(Multigrid, ThermalModelBuildsHierarchyOncePerLayout) {
   EXPECT_EQ(model.multigrid(), mg);
 }
 
-TEST(Multigrid, AutoSelectsMultigridAboveThresholdOnly) {
-  const ChipletLayout l = make_uniform_layout(4, 4.0);
-  // Grid 32 → 8204 unknowns ≥ 8192: auto engages multigrid.
-  ThermalModel big(l, make_25d_stack(), config_for(32, PrecondKind::kAuto));
-  big.solve(uniform_power(l, 300.0));
-  EXPECT_NE(big.multigrid(), nullptr);
-  // Grid 16 → ~2k unknowns: auto stays on Jacobi.
-  ThermalModel small(l, make_25d_stack(), config_for(16, PrecondKind::kAuto));
-  small.solve(uniform_power(l, 300.0));
-  EXPECT_EQ(small.multigrid(), nullptr);
+TEST(Multigrid, AutoBuildsHierarchyAtEveryPaperGrid) {
+  // kAuto is multigrid at every size, on the 2.5D stack and on the 2D
+  // baseline chip alike (grid 12 is the medium rung of the grid-24
+  // sweep); only an explicit kJacobi solves without a hierarchy.
+  const ChipletLayout l25 = make_uniform_layout(4, 4.0);
+  const ChipletLayout l2d = make_single_chip_layout(SystemSpec{});
+  const struct {
+    const ChipletLayout* layout;
+    LayerStack stack;
+  } inputs[] = {{&l25, make_25d_stack()}, {&l2d, make_2d_stack()}};
+  for (const auto& in : inputs) {
+    for (const std::size_t grid : {12u, 16u, 24u, 32u}) {
+      const PowerMap p = uniform_power(*in.layout, 250.0);
+      ThermalModel autom(*in.layout, in.stack,
+                         config_for(grid, PrecondKind::kAuto));
+      EXPECT_EQ(autom.steady_precond(), PrecondKind::kMultigrid);
+      ASSERT_TRUE(autom.solve(p).solve_info.converged);
+      ASSERT_NE(autom.multigrid(), nullptr)
+          << "grid " << grid << ", " << in.layout->chiplet_count()
+          << " chiplet(s)";
+      EXPECT_EQ(autom.multigrid()->unknowns(0), autom.node_count());
+
+      ThermalModel jacobi(*in.layout, in.stack,
+                          config_for(grid, PrecondKind::kJacobi));
+      EXPECT_EQ(jacobi.steady_precond(), PrecondKind::kJacobi);
+      ASSERT_TRUE(jacobi.solve(p).solve_info.converged);
+      EXPECT_EQ(jacobi.multigrid(), nullptr)
+          << "grid " << grid << ", " << in.layout->chiplet_count()
+          << " chiplet(s)";
+    }
+  }
 }
 
 TEST(Multigrid, AtLeastThreeTimesFewerIterationsAtGrid48) {
@@ -222,31 +244,37 @@ TEST(Multigrid, AtLeastThreeTimesFewerIterationsAtGrid48) {
 
 TEST(Multigrid, JacobiAgreementOnEveryPaperLayout) {
   // Every paper organization shape (2D baseline, 4- and 16-chiplet) at the
-  // production evaluation resolution: the preconditioner must not change
-  // what the Evaluator computes, only how fast.
+  // sweep's medium-rung (12), sweep (24) and evaluation (32) resolutions:
+  // the preconditioner must not change what the Evaluator computes, only
+  // how fast.
   const Organization orgs[] = {
       {1, {}, 0, 256},
       {4, {0.0, 0.0, 2.0}, 1, 192},
       {16, {1.0, 0.5, 1.0}, 0, 256},
   };
-  for (const Organization& org : orgs) {
-    const ChipletLayout layout = layout_for(org);
-    const LayerStack stack =
-        org.n_chiplets == 1 ? make_2d_stack() : make_25d_stack();
-    ThermalModel jacobi(layout, stack, config_for(32, PrecondKind::kJacobi));
-    ThermalModel mg(layout, stack, config_for(32, PrecondKind::kMultigrid));
-    const PowerMap p = uniform_power(layout, 250.0);
-    const ThermalResult rj = jacobi.solve(p);
-    const ThermalResult rm = mg.solve(p);
-    ASSERT_TRUE(rj.solve_info.converged) << "n=" << org.n_chiplets;
-    ASSERT_TRUE(rm.solve_info.converged) << "n=" << org.n_chiplets;
-    EXPECT_NEAR(rj.peak_c, rm.peak_c, 1e-4) << "n=" << org.n_chiplets;
-    const std::vector<double> tj = jacobi.tile_temperatures();
-    const std::vector<double> tm = mg.tile_temperatures();
-    ASSERT_EQ(tj.size(), tm.size());
-    for (std::size_t i = 0; i < tj.size(); ++i)
-      EXPECT_NEAR(tj[i], tm[i], 1e-4)
-          << "n=" << org.n_chiplets << " tile " << i;
+  for (const std::size_t grid : {12u, 24u, 32u}) {
+    for (const Organization& org : orgs) {
+      const ChipletLayout layout = layout_for(org);
+      const LayerStack stack =
+          org.n_chiplets == 1 ? make_2d_stack() : make_25d_stack();
+      ThermalModel jacobi(layout, stack,
+                          config_for(grid, PrecondKind::kJacobi));
+      ThermalModel mg(layout, stack,
+                      config_for(grid, PrecondKind::kMultigrid));
+      const PowerMap p = uniform_power(layout, 250.0);
+      const ThermalResult rj = jacobi.solve(p);
+      const ThermalResult rm = mg.solve(p);
+      const std::string at = "grid " + std::to_string(grid) +
+                             " n=" + std::to_string(org.n_chiplets);
+      ASSERT_TRUE(rj.solve_info.converged) << at;
+      ASSERT_TRUE(rm.solve_info.converged) << at;
+      EXPECT_NEAR(rj.peak_c, rm.peak_c, 1e-4) << at;
+      const std::vector<double> tj = jacobi.tile_temperatures();
+      const std::vector<double> tm = mg.tile_temperatures();
+      ASSERT_EQ(tj.size(), tm.size());
+      for (std::size_t i = 0; i < tj.size(); ++i)
+        EXPECT_NEAR(tj[i], tm[i], 1e-4) << at << " tile " << i;
+    }
   }
 }
 
@@ -262,9 +290,10 @@ TEST(Multigrid, ColdSolvesAreReproducibleBitForBit) {
 
 // --- Recovery ladder under fault injection -------------------------------
 
-/// Grid 12 is far below the auto threshold, so these force kMultigrid
-/// explicitly: the ladder must behave identically for either
-/// preconditioner (same rungs, same counters, same restored state).
+/// These force kMultigrid explicitly, so they keep pinning the ladder on
+/// multigrid whatever kAuto resolves to: the ladder must behave
+/// identically for either preconditioner (same rungs, same counters, same
+/// restored state).
 
 TEST(Multigrid, ColdRestartRungRecoversUnderMultigrid) {
   ThermalConfig cfg = config_for(12, PrecondKind::kMultigrid);

@@ -16,10 +16,18 @@
 namespace tacos {
 namespace {
 
-ThermalConfig coarse(std::size_t n = 16) {
+ThermalConfig coarse(std::size_t n = 16,
+                     PrecondKind precond = PrecondKind::kAuto) {
   ThermalConfig c;
   c.grid_nx = c.grid_ny = n;
+  c.solve.precond = precond;
   return c;
+}
+
+/// The two step paths: Jacobi (forced) at grid 16, kAuto (multigrid)
+/// at grid 32.
+PrecondKind precond_at(std::size_t grid) {
+  return grid == 16 ? PrecondKind::kJacobi : PrecondKind::kAuto;
 }
 
 PowerMap uniform_power(const ChipletLayout& l, double watts) {
@@ -50,14 +58,14 @@ TEST(Transient, HeatsMonotonicallyFromAmbientUnderConstantPower) {
 }
 
 TEST(Transient, ConvergesToSteadyState) {
-  // Grid 16 steps on Jacobi, grid 32 (8204 unknowns) on multigrid.
+  // Grid 16 steps on Jacobi, grid 32 on multigrid (precond_at).
   for (const std::size_t grid : {16u, 32u}) {
     const ChipletLayout l = make_uniform_layout(2, 3.0);
-    ThermalModel m_ss(l, make_25d_stack(), coarse(grid));
+    ThermalModel m_ss(l, make_25d_stack(), coarse(grid, precond_at(grid)));
     const PowerMap p = uniform_power(l, 200.0);
     const double steady = m_ss.solve(p).peak_c;
 
-    ThermalModel m_tr(l, make_25d_stack(), coarse(grid));
+    ThermalModel m_tr(l, make_25d_stack(), coarse(grid, precond_at(grid)));
     m_tr.reset_to_ambient();
     double peak = 0.0;
     // Long steps march straight to the steady state (backward Euler is
@@ -72,10 +80,11 @@ TEST(Transient, ConvergesToSteadyState) {
 TEST(Transient, DiscreteEnergyBalanceHolds) {
   // Backward Euler identity: sum_i C_i (T1_i - T0_i) / dt
   //   = P_total - sum_i g_i (T1_i - T_amb), exact per step up to the
-  // solver tolerance.  Grid 16 steps on Jacobi, grid 32 on multigrid.
+  // solver tolerance.  Grid 16 steps on Jacobi, grid 32 on multigrid
+  // (precond_at).
   for (const std::size_t grid : {16u, 32u}) {
     const ChipletLayout l = make_uniform_layout(4, 2.0);
-    ThermalConfig cfg = coarse(grid);
+    ThermalConfig cfg = coarse(grid, precond_at(grid));
     cfg.solve.rel_tolerance = 1e-11;
     ThermalModel m(l, make_25d_stack(), cfg);
     m.reset_to_ambient();
@@ -96,42 +105,56 @@ TEST(Transient, DiscreteEnergyBalanceHolds) {
 }
 
 TEST(Transient, MultigridStepsMatchJacobiSteps) {
-  // A phase trace on the 16-chiplet 6 mm layout at grid 32: steps on the
-  // multigrid hierarchy (kAuto at 8204 unknowns) must land on the Jacobi
-  // steps' temperatures after every step, in at most a fifth of the PCG
-  // iterations.  Both models step under the same power maps.  At the
-  // default 1e-8 tolerance a Jacobi step is itself only ~1e-4 °C from the
-  // exact solution, so both run at 1e-10 (~2e-6 °C apart).
-  const ChipletLayout l = make_uniform_layout(4, 6.0);
-  ThermalConfig cfg = coarse(32);
-  cfg.solve.rel_tolerance = 1e-10;
-  ThermalModel mg(l, make_25d_stack(), cfg);
-  cfg.solve.precond = PrecondKind::kJacobi;
-  ThermalModel jacobi(l, make_25d_stack(), cfg);
-  ASSERT_EQ(mg.steady_precond(), PrecondKind::kMultigrid);
-  jacobi.reset_to_ambient();
-  mg.reset_to_ambient();
+  // A phase trace at grid 32 on the 16-chiplet 6 mm layout and on the 2D
+  // baseline chip (the chip ext_sprinting steps): steps on the multigrid
+  // hierarchy (kAuto) must land on the Jacobi steps' temperatures after
+  // every step, in at most a fifth of the PCG iterations.  Both models
+  // step under the same power maps.  At the default 1e-8 tolerance a
+  // Jacobi step is itself only ~1e-4 °C from the exact solution, so both
+  // run at 1e-10 (~2e-6 °C apart).
+  const ChipletLayout l25 = make_uniform_layout(4, 6.0);
+  const ChipletLayout l2d = make_single_chip_layout(SystemSpec{});
+  const struct {
+    const ChipletLayout* layout;
+    LayerStack stack;
+  } inputs[] = {{&l25, make_25d_stack()}, {&l2d, make_2d_stack()}};
+  for (const auto& in : inputs) {
+    const ChipletLayout& l = *in.layout;
+    ThermalConfig cfg = coarse(32);
+    cfg.solve.rel_tolerance = 1e-10;
+    ThermalModel mg(l, in.stack, cfg);
+    cfg.solve.precond = PrecondKind::kJacobi;
+    ThermalModel jacobi(l, in.stack, cfg);
+    ASSERT_EQ(mg.steady_precond(), PrecondKind::kMultigrid);
+    jacobi.reset_to_ambient();
+    mg.reset_to_ambient();
 
-  const BenchmarkProfile& bench = benchmark_by_name("shock");
-  std::vector<int> all(256);
-  for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
-  const std::vector<Phase> trace = synthetic_trace(bench, 10.0, 0.25, 2018);
-  ASSERT_GE(trace.size(), 40u);
-  std::optional<std::vector<double>> tiles;
-  std::size_t jacobi_iters = 0, mg_iters = 0;
-  for (std::size_t k = 0; k < trace.size(); ++k) {
-    const PowerMap p = build_power_map(l, bench, kDvfsLevels[0], all, tiles,
-                                       PowerModelParams{}, trace[k].activity);
-    jacobi_iters += jacobi.step_transient(p, trace[k].duration_s)
-                        .solve_info.iterations;
-    mg_iters += mg.step_transient(p, trace[k].duration_s).solve_info.iterations;
-    tiles = jacobi.tile_temperatures();
-    const std::vector<double> tm = mg.tile_temperatures();
-    for (std::size_t i = 0; i < tm.size(); ++i)
-      ASSERT_NEAR((*tiles)[i], tm[i], 1e-5) << "step " << k << " tile " << i;
+    const BenchmarkProfile& bench = benchmark_by_name("shock");
+    std::vector<int> all(256);
+    for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
+    const std::vector<Phase> trace = synthetic_trace(bench, 10.0, 0.25, 2018);
+    ASSERT_GE(trace.size(), 40u);
+    std::optional<std::vector<double>> tiles;
+    std::size_t jacobi_iters = 0, mg_iters = 0;
+    const std::string chip =
+        std::to_string(l.chiplet_count()) + " chiplet(s)";
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      const PowerMap p = build_power_map(l, bench, kDvfsLevels[0], all, tiles,
+                                         PowerModelParams{},
+                                         trace[k].activity);
+      jacobi_iters += jacobi.step_transient(p, trace[k].duration_s)
+                          .solve_info.iterations;
+      mg_iters +=
+          mg.step_transient(p, trace[k].duration_s).solve_info.iterations;
+      tiles = jacobi.tile_temperatures();
+      const std::vector<double> tm = mg.tile_temperatures();
+      for (std::size_t i = 0; i < tm.size(); ++i)
+        ASSERT_NEAR((*tiles)[i], tm[i], 1e-5)
+            << chip << " step " << k << " tile " << i;
+    }
+    EXPECT_LE(5 * mg_iters, jacobi_iters)
+        << chip << " jacobi=" << jacobi_iters << " mg=" << mg_iters;
   }
-  EXPECT_LE(5 * mg_iters, jacobi_iters)
-      << "jacobi=" << jacobi_iters << " mg=" << mg_iters;
 }
 
 TEST(Transient, StepsAreTracedApartFromSteadySolves) {

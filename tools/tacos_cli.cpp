@@ -121,8 +121,8 @@ int g_fabric_incarnation = 0;
 /// itself as workers.
 std::vector<std::string> g_argv;
 
-/// Steady-state PCG preconditioner from --precond (auto by default:
-/// multigrid above ThermalModel's size threshold, Jacobi below).
+/// PCG preconditioner from --precond (auto by default, which resolves to
+/// multigrid; jacobi is the reference path).
 PrecondKind g_precond = PrecondKind::kAuto;
 
 /// Observability knobs from --metrics/--trace (docs/OBSERVABILITY.md).
