@@ -19,9 +19,11 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/errors.hpp"
+#include "common/parse_number.hpp"
 #include "core/experiments.hpp"
 #include "obs/obs.hpp"
 
@@ -35,20 +37,47 @@ inline obs::ObsOptions& obs_options() {
   return o;
 }
 
+/// Reject one command-line argument: say why, print the usage line
+/// (`argv0` followed by `flags`) and exit 1.
+[[noreturn]] inline void reject_arg(const std::string& why, const char* argv0,
+                                    const char* flags) {
+  std::cerr << why << "\nusage: " << argv0 << flags
+            << obs::ObsOptions::usage() << '\n';
+  std::exit(EXIT_FAILURE);
+}
+
+/// The positional grid-resolution argument: a positive integer.
+inline std::size_t grid_arg(const std::string& arg, const char* argv0,
+                            const char* flags) {
+  const std::optional<long> grid = parse_number<long>(arg);
+  if (!grid || *grid < 1)
+    reject_arg("bad grid (want a positive integer): " + arg, argv0, flags);
+  return static_cast<std::size_t>(*grid);
+}
+
+/// The value of `--refine-tol-mm=T`: a positive number of millimetres.
+inline double refine_tol_arg(const std::string& arg, const char* argv0,
+                             const char* flags) {
+  const std::optional<double> tol = parse_number<double>(arg.substr(16));
+  if (!tol || *tol <= 0.0)
+    reject_arg("bad --refine-tol-mm value (want > 0): " + arg, argv0, flags);
+  return *tol;
+}
+
 /// Parse the optional grid-resolution argument plus the observability
 /// flags (`--metrics[=FILE]`, `--trace[=FILE]`) and the steady-state
 /// preconditioner override (`--precond={auto,jacobi,mg}`).
 inline ExperimentOptions options_from_args(int argc, char** argv,
                                            ExperimentOptions defaults = {}) {
+  static constexpr const char* kFlags =
+      " [grid] [--precond=auto|jacobi|mg] [--refine] [--refine-tol-mm=T]";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (obs_options().parse_flag(arg)) continue;
     if (arg.rfind("--precond=", 0) == 0) {
-      if (!parse_precond_name(arg.substr(10), &defaults.precond)) {
-        std::cerr << "bad --precond value (want auto|jacobi|mg): " << arg
-                  << '\n';
-        std::exit(EXIT_FAILURE);
-      }
+      if (!parse_precond_name(arg.substr(10), &defaults.precond))
+        reject_arg("bad --precond value (want auto|jacobi|mg): " + arg,
+                   argv[0], kFlags);
       continue;
     }
     if (arg == "--refine") {
@@ -56,21 +85,12 @@ inline ExperimentOptions options_from_args(int argc, char** argv,
       continue;
     }
     if (arg.rfind("--refine-tol-mm=", 0) == 0) {
-      defaults.refine_tol_mm = std::stod(arg.substr(16));
-      if (!(defaults.refine_tol_mm > 0.0)) {
-        std::cerr << "bad --refine-tol-mm value (want > 0): " << arg << '\n';
-        std::exit(EXIT_FAILURE);
-      }
+      defaults.refine_tol_mm = refine_tol_arg(arg, argv[0], kFlags);
       continue;
     }
-    if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\nusage: " << argv[0]
-                << " [grid] [--precond=auto|jacobi|mg]"
-                   " [--refine] [--refine-tol-mm=T]"
-                << obs::ObsOptions::usage() << '\n';
-      std::exit(EXIT_FAILURE);
-    }
-    defaults.grid = static_cast<std::size_t>(std::stoul(arg));
+    if (!arg.empty() && arg[0] == '-')
+      reject_arg("unknown flag: " + arg, argv[0], kFlags);
+    defaults.grid = grid_arg(arg, argv[0], kFlags);
   }
   obs_options().finalize();
   return defaults;
@@ -124,6 +144,9 @@ class Harness {
  public:
   Harness(int argc, char** argv, ExperimentOptions defaults = {})
       : opts_(defaults) {
+    static constexpr const char* kFlags =
+        " [grid] [--run-dir=DIR [--resume]] [--task-deadline=SECONDS]"
+        " [--precond=auto|jacobi|mg] [--refine] [--refine-tol-mm=T]";
     std::string run_dir;
     bool resume = false;
     for (int i = 1; i < argc; ++i) {
@@ -133,33 +156,25 @@ class Harness {
       } else if (arg == "--resume") {
         resume = true;
       } else if (arg.rfind("--task-deadline=", 0) == 0) {
-        opts_.run.task_deadline_s = std::stod(arg.substr(16));
+        const std::optional<double> d = parse_number<double>(arg.substr(16));
+        if (!d || *d < 0.0)
+          reject_arg("bad --task-deadline value (want >= 0 seconds): " + arg,
+                     argv[0], kFlags);
+        opts_.run.task_deadline_s = *d;
       } else if (arg.rfind("--precond=", 0) == 0) {
-        if (!parse_precond_name(arg.substr(10), &opts_.precond)) {
-          std::cerr << "bad --precond value (want auto|jacobi|mg): " << arg
-                    << '\n';
-          std::exit(EXIT_FAILURE);
-        }
+        if (!parse_precond_name(arg.substr(10), &opts_.precond))
+          reject_arg("bad --precond value (want auto|jacobi|mg): " + arg,
+                     argv[0], kFlags);
       } else if (arg == "--refine") {
         opts_.refine = true;
       } else if (arg.rfind("--refine-tol-mm=", 0) == 0) {
-        opts_.refine_tol_mm = std::stod(arg.substr(16));
-        if (!(opts_.refine_tol_mm > 0.0)) {
-          std::cerr << "bad --refine-tol-mm value (want > 0): " << arg
-                    << '\n';
-          std::exit(EXIT_FAILURE);
-        }
+        opts_.refine_tol_mm = refine_tol_arg(arg, argv[0], kFlags);
       } else if (obs_options().parse_flag(arg)) {
         // consumed by the observability layer
       } else if (!arg.empty() && arg[0] == '-') {
-        std::cerr << "unknown flag: " << arg << "\nusage: " << argv[0]
-                  << " [grid] [--run-dir=DIR [--resume]]"
-                     " [--task-deadline=SECONDS] [--precond=auto|jacobi|mg]"
-                     " [--refine] [--refine-tol-mm=T]"
-                  << obs::ObsOptions::usage() << '\n';
-        std::exit(EXIT_FAILURE);
+        reject_arg("unknown flag: " + arg, argv[0], kFlags);
       } else {
-        opts_.grid = static_cast<std::size_t>(std::stoul(arg));
+        opts_.grid = grid_arg(arg, argv[0], kFlags);
       }
     }
     if (resume && run_dir.empty()) {

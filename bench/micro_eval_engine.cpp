@@ -35,20 +35,15 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/atomic_file.hpp"
-#include "common/cancel.hpp"
-#include "common/errors.hpp"
 #include "common/thread_pool.hpp"
 #include "core/optimizer.hpp"
 #include "floorplan/layout.hpp"
 #include "materials/stack.hpp"
 #include "obs/merge.hpp"
 #include "obs/obs.hpp"
-#include "service/client.hpp"
-#include "service/server.hpp"
 #include "thermal/grid_model.hpp"
 
 namespace {
@@ -337,103 +332,6 @@ RefineAB run_refine_ab(std::size_t grid, const std::vector<std::string>& names,
   return out;
 }
 
-/// Evaluation-service round-trip costs: an in-process server on a Unix
-/// socket, one real client.  Three numbers matter for sizing a remote
-/// sweep: the pure transport/framing overhead (ping round-trips/sec),
-/// the cold optimize RPC (compute dominates; its payload must be
-/// byte-identical to the local journal line), and the warm memo-hit RPC
-/// (the steady state of a long-lived server — cache lookup + framing).
-struct ServiceBench {
-  double ping_rps = 0.0;
-  double cold_ms = 0.0;
-  double warm_rps = 0.0;
-  double stats_rps = 0.0;  ///< `stats` scrape round-trips/sec
-  bool payload_matches_local = false;
-  bool warm_all_memo_hits = false;
-  bool stats_ok = false;  ///< scrape payload carried the expected series
-  ServerStats stats;      ///< the server's drain statistics
-};
-
-ServiceBench run_service_bench(std::size_t grid) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "tacos_bench_svc").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  ServerOptions so;
-  so.endpoint = parse_endpoint(dir + "/svc.sock");
-  so.memo_dir = dir;
-  so.threads = 2;
-  so.queue_capacity = 16;
-  CancelToken stop;
-  ServerStats stats;
-  std::thread server([&] { stats = serve_forever(so, &stop); });
-  for (int i = 0; i < 500; ++i) {
-    try {
-      if (connect_endpoint(so.endpoint, 200).ok()) break;
-    } catch (const ServiceError&) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  EvalConfig cfg;
-  cfg.thermal.grid_nx = cfg.thermal.grid_ny = grid;
-  OptimizerOptions oo;
-  oo.step_mm = 4.0;
-  oo.starts = 3;
-  const std::string bench = "cholesky";
-  const TaskOutcome local = optimize_one_guarded(cfg, bench, oo, nullptr);
-  const std::string oracle = encode_opt_result(local.result, local.stats);
-
-  ClientOptions co;
-  co.endpoint = so.endpoint;
-  EvalClient client(co);
-  ServiceBench out;
-
-  constexpr int kPings = 200;
-  for (int i = 0; i < 5; ++i) client.ping();  // warm-up
-  auto t0 = Clock::now();
-  for (int i = 0; i < kPings; ++i) client.ping();
-  out.ping_rps = kPings / seconds_since(t0);
-
-  t0 = Clock::now();
-  bool memo_hit = false;
-  const std::string cold = client.optimize(cfg, oo, bench, 0.0, &memo_hit);
-  out.cold_ms = seconds_since(t0) * 1e3;
-  out.payload_matches_local = !memo_hit && cold == oracle;
-
-  constexpr int kWarm = 100;
-  out.warm_all_memo_hits = true;
-  t0 = Clock::now();
-  for (int i = 0; i < kWarm; ++i) {
-    const std::string warm = client.optimize(cfg, oo, bench, 0.0, &memo_hit);
-    out.warm_all_memo_hits =
-        out.warm_all_memo_hits && memo_hit && warm == oracle;
-  }
-  out.warm_rps = kWarm / seconds_since(t0);
-
-  // The live metrics scrape (`stats` verb): cost of one observability
-  // poll against a busy server, plus a sanity check that the payload
-  // carries the per-request quantile histograms.
-  constexpr int kStats = 50;
-  out.stats_ok = true;
-  t0 = Clock::now();
-  for (int i = 0; i < kStats; ++i) {
-    const std::optional<std::string> scrape = client.stats();
-    out.stats_ok = out.stats_ok && scrape.has_value() &&
-                   scrape->find("hist latency_ms") != std::string::npos &&
-                   scrape->find("requests") != std::string::npos;
-  }
-  out.stats_rps = kStats / seconds_since(t0);
-
-  stop.cancel();
-  server.join();
-  out.stats = stats;
-  fs::remove_all(dir);
-  return out;
-}
-
 /// Cross-process trace aggregation cost: synthetic worker shards in the
 /// exporters' exact format (a supervisor + 8 workers, a few thousand
 /// events each), merged with the same `obs::merge` path `tacos_cli
@@ -567,30 +465,19 @@ int main(int argc, char** argv) {
   const RefineAB rab = run_refine_ab(e2e_grid, names, &health);
   ThreadPool::set_global_threads(hw);
 
-  std::cerr << "[micro_eval_engine] evaluation-service round-trips...\n";
-  const ServiceBench svc = run_service_bench(e2e_grid);
-
   std::cerr << "[micro_eval_engine] trace-merge on synthetic shards...\n";
   const TelemetryBench tel = run_telemetry_bench();
 
   const double speedup = e2e_walls.front() / e2e_walls.back();
   const double solver_speedup = solver_rates.back() / solver_rates.front();
 
-  // The health block carries the per-subsystem request counters too:
-  // `service.*` from the in-process server's drain stats and `fabric.*`
-  // mirrors of the sweep-fabric fields, prefixed like the live metrics
-  // registry names so the trajectory tooling can join them.
+  // The health block also carries `fabric.*` mirrors of the sweep-fabric
+  // fields, prefixed like the live metrics registry names so the
+  // trajectory tooling can join them.
   std::string health_json = health.to_json();
   {
     std::ostringstream extra;
-    extra << ", \"service.requests\": " << svc.stats.requests
-          << ", \"service.served_ok\": " << svc.stats.served_ok
-          << ", \"service.memo_hits\": " << svc.stats.memo_hits
-          << ", \"service.shed\": " << svc.stats.shed
-          << ", \"service.deadline_expired\": " << svc.stats.deadline_expired
-          << ", \"service.eval_errors\": " << svc.stats.eval_errors
-          << ", \"service.protocol_errors\": " << svc.stats.protocol_errors
-          << ", \"fabric.leases_reclaimed\": " << health.leases_reclaimed
+    extra << ", \"fabric.leases_reclaimed\": " << health.leases_reclaimed
           << ", \"fabric.worker_restarts\": " << health.worker_restarts
           << ", \"fabric.poison_tasks\": " << health.poison_tasks;
     health_json.insert(health_json.size() - 1, extra.str());
@@ -674,20 +561,6 @@ int main(int argc, char** argv) {
      << "    \"sum_peak_drop_c\": " << fmt(rab.sum_peak_drop_c) << ",\n"
      << "    \"never_worse\": " << (rab.never_worse ? "true" : "false")
      << "\n  },\n"
-     << "  \"service\": {\n"
-     << "    \"grid\": " << e2e_grid << ",\n"
-     << "    \"ping_round_trips_per_sec\": " << fmt(svc.ping_rps) << ",\n"
-     << "    \"cold_optimize_ms\": " << fmt(svc.cold_ms) << ",\n"
-     << "    \"warm_memo_hits_per_sec\": " << fmt(svc.warm_rps) << ",\n"
-     << "    \"stats_scrapes_per_sec\": " << fmt(svc.stats_rps) << ",\n"
-     << "    \"requests\": " << svc.stats.requests << ",\n"
-     << "    \"memo_hits\": " << svc.stats.memo_hits << ",\n"
-     << "    \"payload_matches_local\": "
-     << (svc.payload_matches_local ? "true" : "false") << ",\n"
-     << "    \"warm_all_memo_hits\": "
-     << (svc.warm_all_memo_hits ? "true" : "false") << ",\n"
-     << "    \"stats_ok\": " << (svc.stats_ok ? "true" : "false")
-     << "\n  },\n"
      << "  \"telemetry\": {\n"
      << "    \"merge_shards\": " << tel.shards << ",\n"
      << "    \"merge_events\": " << tel.events << ",\n"
@@ -727,13 +600,6 @@ int main(int argc, char** argv) {
             << fmt(100.0 * rab.extra_solve_frac)
             << "% solves, never_worse=" << (rab.never_worse ? "yes" : "NO")
             << "\n"
-            << "service: ping " << fmt(svc.ping_rps) << " rt/s, cold optimize "
-            << fmt(svc.cold_ms) << " ms, warm memo " << fmt(svc.warm_rps)
-            << " rt/s, stats scrape " << fmt(svc.stats_rps)
-            << " rt/s, payload_match="
-            << (svc.payload_matches_local ? "yes" : "NO") << ", all_memo_hits="
-            << (svc.warm_all_memo_hits ? "yes" : "NO") << ", stats_ok="
-            << (svc.stats_ok ? "yes" : "NO") << "\n"
             << "telemetry: merged " << tel.events << " events from "
             << tel.shards << " shards in " << fmt(tel.merge_ms) << " ms ("
             << fmt(tel.events_per_sec) << " ev/s), deterministic="
@@ -744,8 +610,7 @@ int main(int argc, char** argv) {
   if (obs_opts.any()) obs_opts.publish();
   return (solver_identical && e2e_identical && ab.temps_match &&
           lab.winner_match && lab.bit_identical && rab.never_worse &&
-          svc.payload_matches_local && svc.warm_all_memo_hits &&
-          svc.stats_ok && tel.deterministic)
+          tel.deterministic)
              ? 0
              : 1;
 }

@@ -1,25 +1,13 @@
 #pragma once
 /// \file backoff.hpp
-/// \brief Capped exponential backoff with deterministic jitter.
+/// \brief Capped exponential backoff.
 ///
-/// One retry-delay policy for every supervisor/client in the tree: the
-/// sweep fabric's worker-restart schedule (src/core/fabric.cpp) and the
-/// evaluation-service client's request retries (src/service/client.hpp)
-/// both compute
+/// The sweep fabric's worker-restart schedule (src/core/fabric.cpp):
 ///
-///   delay(n) = min(base * 2^n, cap) - jitter(n)
+///   delay(n) = min(base * 2^n, cap)
 ///
-/// where `jitter(n)` deterministically shaves up to `jitter_frac` of the
-/// delay.  Jitter de-synchronizes a fleet of clients hammering a just-
-/// restarted server (the thundering-herd problem) but stays a pure
-/// function of (seed, attempt) — two runs with the same seed retry at the
-/// same instants, so timing-sensitive tests and reproductions never see a
-/// random schedule.  `jitter_frac = 0` recovers the fabric's historical
-/// un-jittered sequence bit-exactly.
-///
-/// The jitter hash is SplitMix64 (Steele et al., "Fast splittable
-/// pseudorandom number generators") — one multiply-xor round per query, no
-/// state beyond the seed.
+/// a pure function of the attempt number, so two runs restart crashed
+/// workers at the same instants.
 
 #include <cstdint>
 
@@ -29,28 +17,13 @@ namespace tacos {
 struct BackoffPolicy {
   std::uint64_t base_ms = 200;   ///< first delay
   std::uint64_t max_ms = 2'000;  ///< cap on the exponential growth
-  double jitter_frac = 0.0;      ///< fraction of the delay jitter may shave
-  std::uint64_t seed = 0;        ///< jitter stream identity
 
-  /// SplitMix64 mix of (seed, n): the deterministic jitter source.
-  static std::uint64_t mix(std::uint64_t seed, std::uint64_t n) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (n + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
-  /// Delay before retry `attempt` (0-based).  Monotone-capped exponential,
-  /// minus deterministic jitter in [0, jitter_frac * delay).
+  /// Delay before retry `attempt` (0-based): monotone-capped exponential.
   std::uint64_t delay_ms(std::uint64_t attempt) const {
     // Shift-safe doubling: past 63 doublings everything is capped anyway.
     std::uint64_t raw = attempt >= 63 ? max_ms : base_ms << attempt;
     if (raw > max_ms || raw < base_ms) raw = max_ms;  // overflow ⇒ capped
-    if (jitter_frac <= 0.0 || raw == 0) return raw;
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(static_cast<double>(raw) * jitter_frac);
-    if (span == 0) return raw;
-    return raw - mix(seed, attempt) % span;
+    return raw;
   }
 };
 
@@ -61,7 +34,7 @@ class Backoff {
  public:
   explicit Backoff(BackoffPolicy policy) : policy_(policy) {}
   Backoff(std::uint64_t base_ms, std::uint64_t max_ms)
-      : policy_{base_ms, max_ms, 0.0, 0} {}
+      : policy_{base_ms, max_ms} {}
 
   /// Delay before the upcoming retry; advances the attempt counter.
   std::uint64_t next_ms() { return policy_.delay_ms(attempt_++); }

@@ -17,12 +17,6 @@
 ///   EvalError     — an Evaluator query failed; wraps the underlying error
 ///                   with the organization (layout key, DVFS level, active
 ///                   cores) and benchmark that triggered it.
-///   ServiceError  — the evaluation service (src/service/) failed a
-///                   request: connection loss, a corrupt/incompatible
-///                   frame, explicit load-shedding (`overloaded`), a
-///                   request deadline, or a server-side shutdown.  Carries
-///                   the failure kind and whether a retry can succeed —
-///                   the client's backoff loop branches on retryable().
 ///
 /// See docs/ROBUSTNESS.md for the recovery ladder and quarantine policy.
 
@@ -46,7 +40,6 @@ inline constexpr int kError = 2;    ///< generic tacos::Error
 inline constexpr int kSolver = 3;   ///< SolverError
 inline constexpr int kThermal = 4;  ///< ThermalError
 inline constexpr int kEval = 5;     ///< EvalError
-inline constexpr int kService = 6;  ///< ServiceError (evaluation service)
 /// Corrupt on-disk state found (and not repaired) by `tacos_cli fsck`.
 /// 65 = EX_DATAERR: the input data was damaged, not the program.
 inline constexpr int kDataErr = 65;
@@ -154,62 +147,9 @@ class EvalError : public Error {
   int active_cores_ = 0;
 };
 
-/// The evaluation service failed a request (src/service/).  `kind()`
-/// classifies the failure; `retryable()` is the client contract: true
-/// means a fresh attempt against the same (or a restarted) server can
-/// succeed — connection loss, shedding, deadlines and drains are
-/// transient by design, while a protocol violation (corrupt or
-/// version-mismatched frame) or a server-reported evaluation failure
-/// will repeat identically and must surface immediately.
-class ServiceError : public Error {
- public:
-  enum class Kind {
-    kConnection,  ///< connect/read/write failed or the peer vanished
-    kProtocol,    ///< malformed, checksum-failing or wrong-version frame
-    kOverloaded,  ///< server shed the request (admission queue full)
-    kDeadline,    ///< request exceeded its deadline (queue or in-flight)
-    kShutdown,    ///< server is draining; no new work accepted
-    kRemote,      ///< server-side evaluation failed (non-retryable)
-  };
-
-  ServiceError(Kind kind, const std::string& detail)
-      : Error(format(kind, detail)), kind_(kind) {}
-
-  Kind kind() const { return kind_; }
-
-  /// Stable wire tag for this kind (error frames carry it verbatim).
-  static const char* kind_name(Kind k) {
-    switch (k) {
-      case Kind::kConnection: return "connection";
-      case Kind::kProtocol: return "protocol";
-      case Kind::kOverloaded: return "overloaded";
-      case Kind::kDeadline: return "deadline";
-      case Kind::kShutdown: return "shutdown";
-      case Kind::kRemote: return "remote";
-    }
-    return "unknown";
-  }
-
-  /// True when a backoff-and-retry can succeed (see class comment).
-  bool retryable() const {
-    return kind_ == Kind::kConnection || kind_ == Kind::kOverloaded ||
-           kind_ == Kind::kDeadline || kind_ == Kind::kShutdown;
-  }
-
- private:
-  static std::string format(Kind kind, const std::string& detail) {
-    std::ostringstream os;
-    os << "service failure [" << kind_name(kind) << "]: " << detail;
-    return os.str();
-  }
-
-  Kind kind_;
-};
-
 /// Short class tag for structured diagnostics ("solver", "thermal", ...).
 inline const char* error_kind(const std::exception& e) {
   if (dynamic_cast<const CancelledError*>(&e)) return "interrupted";
-  if (dynamic_cast<const ServiceError*>(&e)) return "service";
   if (dynamic_cast<const EvalError*>(&e)) return "eval";
   if (dynamic_cast<const ThermalError*>(&e)) return "thermal";
   if (dynamic_cast<const SolverError*>(&e)) return "solver";
@@ -220,7 +160,6 @@ inline const char* error_kind(const std::exception& e) {
 /// Exit code for `e` under the CLI's exit-code discipline.
 inline int exit_code_for(const std::exception& e) {
   if (dynamic_cast<const CancelledError*>(&e)) return exit_code::kInterrupted;
-  if (dynamic_cast<const ServiceError*>(&e)) return exit_code::kService;
   if (dynamic_cast<const EvalError*>(&e)) return exit_code::kEval;
   if (dynamic_cast<const ThermalError*>(&e)) return exit_code::kThermal;
   if (dynamic_cast<const SolverError*>(&e)) return exit_code::kSolver;

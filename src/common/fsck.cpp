@@ -167,7 +167,6 @@ FsckReport fsck_run_dir(const std::string& dir, bool fix) {
   }
   std::sort(shards.begin(), shards.end());
   for (const std::string& s : shards) add(fsck_journal_file(s, fix));
-  add(fsck_journal_file(dir + "/memo.jsonl", fix));
   add(fsck_lease_file(dir + "/leases.jsonl", fix));
   // Telemetry artifacts (advisory): trace/metrics shards and merges.
   std::vector<std::string> telemetry;

@@ -5,10 +5,10 @@
 ///
 /// A `--run-dir` accumulates several kinds of checksummed JSONL:
 ///
-///   * whole-file-rewrite journals (`journal.jsonl`, `shard-w<k>.jsonl`,
-///     `memo.jsonl`) — strict-prefix semantics: every record up to the
-///     first torn/corrupt line is trusted, everything at and after it is a
-///     torn tail (`RunJournal::load` silently recomputes those tasks);
+///   * whole-file-rewrite journals (`journal.jsonl`, `shard-w<k>.jsonl`) —
+///     strict-prefix semantics: every record up to the first torn/corrupt
+///     line is trusted, everything at and after it is a torn tail
+///     (`RunJournal::load` silently recomputes those tasks);
 ///   * the append-only lease log (`leases.jsonl`) — an event log whose
 ///     readers skip corrupt lines *anywhere* and tolerate an incomplete
 ///     final line (a writer caught mid-append).

@@ -394,8 +394,7 @@ FabricReport run_fabric_sweep(const EvalConfig& config,
           continue;
         }
         const BackoffPolicy restart_backoff{fab.backoff_base_ms,
-                                            fab.backoff_max_ms,
-                                            /*jitter_frac=*/0.0, /*seed=*/0};
+                                            fab.backoff_max_ms};
         const std::uint64_t delay =
             restart_backoff.delay_ms(static_cast<unsigned>(s.restarts));
         ++s.restarts;

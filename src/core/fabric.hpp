@@ -61,8 +61,8 @@ struct FabricOptions {
   std::uint64_t lease_ttl_ms = 30'000;  ///< lease TTL; must exceed the
                                         ///< slowest task (zombie backstop)
   double task_deadline_s = 0.0;         ///< per-task budget (--task-deadline)
-  std::uint64_t backoff_base_ms = 200;  ///< restart backoff (BackoffPolicy,
-  std::uint64_t backoff_max_ms = 2'000; ///< jitterless): min(base*2^n, max)
+  std::uint64_t backoff_base_ms = 200;  ///< restart backoff (BackoffPolicy):
+  std::uint64_t backoff_max_ms = 2'000; ///< min(base*2^n, max)
   int max_restarts = 3;                 ///< per worker slot, then degraded
   std::uint64_t poll_ms = 20;           ///< heartbeat / idle-claim poll
   /// Testing hook for in-process workers (threads cannot SIGKILL

@@ -545,19 +545,6 @@ bool decode_opt_result(const std::string& payload, OptResult* result,
   return saw_found && saw_health;
 }
 
-namespace {
-RemoteOptimizeFn& remote_hook_slot() {
-  static RemoteOptimizeFn hook;
-  return hook;
-}
-}  // namespace
-
-void set_remote_optimize_hook(RemoteOptimizeFn fn) {
-  remote_hook_slot() = std::move(fn);
-}
-
-const RemoteOptimizeFn& remote_optimize_hook() { return remote_hook_slot(); }
-
 TaskOutcome optimize_one_guarded(const EvalConfig& config,
                                  const std::string& name,
                                  const OptimizerOptions& opts,
@@ -590,46 +577,6 @@ TaskOutcome optimize_one_guarded(const EvalConfig& config,
     ++out.stats.health.cancelled;
     task_span.arg("outcome", "interrupted");
     return out;
-  }
-  if (const RemoteOptimizeFn& remote = remote_optimize_hook()) {
-    // Offload to the evaluation service.  The payload that comes back is
-    // the exact encode_opt_result line a local execution would have
-    // journaled, so the journal (and the merged stats decoded from it)
-    // stays byte-identical to a local run.
-    try {
-      const std::string payload =
-          remote(config, name, opts, run ? run->task_deadline_s : 0.0);
-      TACOS_CHECK(decode_opt_result(payload, &out.result, &out.stats),
-                  "remote response payload for '" << name
-                                                  << "' is undecodable");
-      task_span.arg("outcome", "remote");
-      if (journal) {
-        // Refinement rows ride ahead of their optimize row, in the order a
-        // local run appends them, so the journal stays byte-identical.
-        if (out.result.refined)
-          journal->append("refine:" + name, encode_refine_row(out.result));
-        journal->append(task_id, payload);
-      }
-      return out;
-    } catch (const CancelledError&) {
-      out = TaskOutcome{};
-      out.result.interrupted = true;
-      out.completed = false;
-      ++out.stats.health.cancelled;
-      task_span.arg("outcome", "interrupted");
-      return out;
-    } catch (const Error& e) {
-      // Exhausted retries (or a server-side failure): quarantine this
-      // task, let the sweep survive.  Deliberately NOT journaled — the
-      // failure is environmental, so a resume against a healthy server
-      // recomputes instead of replaying the outage.
-      out = TaskOutcome{};
-      out.result.quarantined = true;
-      out.result.diagnostic = e.what();
-      ++out.stats.health.quarantined;
-      task_span.arg("outcome", "quarantined");
-      return out;
-    }
   }
   // Per-task token: chains the run-level cancel and carries this
   // task's wall-clock budget.

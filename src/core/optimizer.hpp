@@ -23,7 +23,6 @@
 /// The first combination with a feasible placement is the optimum, since
 /// combinations are visited in ascending objective order.
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -186,26 +185,6 @@ struct TaskOutcome {
   bool completed = true;  ///< terminal result (journalable)
 };
 
-/// Remote-offload hook consulted by optimize_one_guarded: when installed
-/// (by the CLI under `--remote=ADDR`; the core never depends on the
-/// service layer), a task is executed by the evaluation service instead of
-/// locally, and the returned string is the response payload — byte-for-
-/// byte the `encode_opt_result` line a local run would journal, so remote
-/// and local sweeps produce identical journals and identical merged stats.
-/// The hook may throw: CancelledError marks the task interrupted
-/// (unjournaled, recomputed on resume); any tacos::Error — e.g. a
-/// ServiceError after exhausted retries — quarantines the one task while
-/// the rest of the sweep survives.  Remote-failure quarantines are *not*
-/// journaled: the failure is environmental (a down server), not a property
-/// of the task, so a resume against a healthy server recomputes it.
-/// Install before spawning batch threads; empty function uninstalls.
-using RemoteOptimizeFn = std::function<std::string(
-    const EvalConfig& config, const std::string& bench,
-    const OptimizerOptions& opts, double task_deadline_s)>;
-void set_remote_optimize_hook(RemoteOptimizeFn fn);
-/// The installed hook (empty when local).
-const RemoteOptimizeFn& remote_optimize_hook();
-
 /// The per-task body of optimize_greedy_batch, exposed so the sweep
 /// fabric's worker loop (src/core/fabric.cpp) runs the *same* code path:
 /// journal replay, per-task cancel/deadline token, quarantine containment,
@@ -236,8 +215,8 @@ bool decode_opt_result(const std::string& payload, OptResult* result,
 /// Journal payload of a "refine:<bench>" row — the continuous-refinement
 /// record optimize_one_guarded appends immediately *before* its
 /// "optimize:<bench>" row whenever refinement accepted a step.  Derived
-/// deterministically from the result, so replays, remote offloads and
-/// fabric shard merges all reproduce the same bytes.
+/// deterministically from the result, so replays and fabric shard merges
+/// reproduce the same bytes.
 std::string encode_refine_row(const OptResult& result);
 
 /// Full optimization with exhaustive placement search (validation only).

@@ -137,10 +137,6 @@ bool classify_trace_shard(const std::string& name, TraceShard* out) {
     *out = {name, "supervisor", 0, 0, false};
     return true;
   }
-  if (name == "trace-serve.json") {
-    *out = {name, "server", 1, 0, false};
-    return true;
-  }
   const std::string worker_prefix = "trace-w";
   if (name.rfind(worker_prefix, 0) == 0 &&
       name.size() > worker_prefix.size() + 5 &&
@@ -160,7 +156,7 @@ bool classify_trace_shard(const std::string& name, TraceShard* out) {
 }
 
 bool is_metrics_shard(const std::string& name) {
-  if (name == "metrics.json" || name == "metrics-serve.json") return true;
+  if (name == "metrics.json") return true;
   const std::string worker_prefix = "metrics-w";
   if (name.rfind(worker_prefix, 0) == 0 &&
       name.size() > worker_prefix.size() + 5 &&

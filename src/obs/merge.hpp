@@ -3,18 +3,16 @@
 /// \brief Cross-process telemetry aggregation: join the per-process trace
 ///        and metrics shards of a run directory into single artifacts.
 ///
-/// A multi-process run (`--workers=N` fabric, `tacos_cli serve`) leaves one
-/// trace/metrics shard per process in the run dir, each published whole via
-/// AtomicFile:
+/// A multi-process run (the `--workers=N` fabric) leaves one trace/metrics
+/// shard per process in the run dir, each published whole via AtomicFile:
 ///
 ///   trace.json          the supervisor (or a single-process run)
-///   trace-serve.json    the evaluation service
 ///   trace-w<k>.json     fabric worker slot k (all incarnations spliced)
 ///   metrics[-...].json  the matching metrics shards
 ///
 /// `merge_trace_shards` rewrites them onto one Perfetto/chrome://tracing
-/// timeline: every shard gets a *stable* pid (supervisor 0, server 1,
-/// worker k at 2+k — independent of which shards exist), a `process_name`
+/// timeline: every shard gets a *stable* pid (supervisor 0, worker k at
+/// 2+k — independent of which shards exist), a `process_name`
 /// metadata record, and its timestamps shifted onto a common wall-clock
 /// base using each shard's `otherData.epochMs`.  Parsing is tolerant: a
 /// truncated shard (crashed process, torn copy) contributes every complete

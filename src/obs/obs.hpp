@@ -35,7 +35,7 @@ struct ObsOptions {
   std::string trace_path;
 
   /// When non-empty, this process is one shard of a multi-process run
-  /// (e.g. "w0" for fabric worker slot 0, "serve" for the server):
+  /// (e.g. "w0" for fabric worker slot 0):
   /// finalize() forces the artifact paths to `metrics-<suffix>.json` /
   /// `trace-<suffix>.json` inside the run dir — overriding even explicit
   /// `=FILE` paths inherited through a re-exec'd argv, so a worker can

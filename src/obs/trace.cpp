@@ -128,8 +128,8 @@ std::atomic<std::uint64_t> g_proc_trace_id{0};
 std::atomic<std::uint64_t> g_proc_span_id{0};
 
 /// Span ids mix a per-process salt with a sequence number so ids from
-/// concurrently tracing processes (fabric workers, the server) do not
-/// collide when their shards are merged onto one timeline.
+/// concurrently tracing processes (fabric workers) do not collide when
+/// their shards are merged onto one timeline.
 std::atomic<std::uint64_t> g_span_seq{0};
 
 std::uint64_t process_salt() {
@@ -143,12 +143,6 @@ std::uint64_t mint_span_id() {
       process_salt() ^ (g_span_seq.fetch_add(1, std::memory_order_relaxed) + 1));
   return id != 0 ? id : 1;
 }
-
-/// Thread ambient (installed by ScopedTraceContext) plus the span-stack
-/// depth at install time: the ambient wins only until a traced span opens
-/// under it, after which the innermost span carries the chain.
-thread_local TraceContext t_ambient;
-thread_local std::size_t t_ambient_depth = 0;
 
 }  // namespace
 
@@ -169,15 +163,11 @@ void set_process_trace_context(const TraceContext& ctx) {
 
 TraceContext current_trace_context() {
   if (!trace_enabled()) return {};
-  if (t_ambient.valid() && t_span_stack.size() <= t_ambient_depth) {
-    return t_ambient;
-  }
   // Innermost *traced* span; metrics-only spans sit on the stack too but
   // carry no ids, so skip them.
   for (auto it = t_span_stack.rbegin(); it != t_span_stack.rend(); ++it) {
     if ((*it)->trace_id_ != 0) return {(*it)->trace_id_, (*it)->span_id_};
   }
-  if (t_ambient.valid()) return t_ambient;
   std::uint64_t trace = g_proc_trace_id.load(std::memory_order_relaxed);
   if (trace == 0) {
     // Lazily mint the process trace id.  Ids never touch journals, so the
@@ -214,18 +204,6 @@ bool parse_trace_context(const std::string& s, TraceContext* out) {
   out->trace_id = trace;
   out->span_id = span;
   return true;
-}
-
-ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx) {
-  prev_ = t_ambient;
-  prev_depth_ = t_ambient_depth;
-  t_ambient = ctx;
-  t_ambient_depth = t_span_stack.size();
-}
-
-ScopedTraceContext::~ScopedTraceContext() {
-  t_ambient = prev_;
-  t_ambient_depth = prev_depth_;
 }
 
 void append_json_kv(std::string& body, const char* key, const std::string& value) {

@@ -58,11 +58,10 @@ struct TraceContext {
   }
 };
 
-/// The context new spans (and outgoing requests) should chain from, in
-/// priority order: the innermost open traced span on this thread, then the
-/// thread ambient set by `ScopedTraceContext` (if no traced span opened
-/// since it was installed), then the process ambient.  Returns a zero
-/// context when tracing is disabled — callers need no extra guard.
+/// The context new spans (and spawned workers) should chain from: the
+/// innermost open traced span on this thread, else the process ambient.
+/// Returns a zero context when tracing is disabled — callers need no extra
+/// guard.
 TraceContext current_trace_context();
 
 /// Process ambient context.  Set explicitly in child processes (fabric
@@ -77,21 +76,6 @@ void set_process_trace_context(const TraceContext& ctx);
 /// and parse it back.  parse accepts only the exact emitted form.
 std::string trace_context_string(const TraceContext& ctx);
 bool parse_trace_context(const std::string& s, TraceContext* out);
-
-/// RAII thread-ambient context: while alive (and until a traced span opens
-/// under it), `current_trace_context()` returns `ctx`.  The server installs
-/// one per request so the handler's spans chain to the caller.
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(const TraceContext& ctx);
-  ~ScopedTraceContext();
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-
- private:
-  TraceContext prev_;
-  std::size_t prev_depth_ = 0;
-};
 
 class TraceSpan;
 
@@ -205,8 +189,8 @@ class TraceSpan {
   bool active() const { return active_; }
 
   /// This span's identity in the distributed trace ({0,0} when the trace
-  /// backend was off at entry).  Hand it to outgoing work (lease claims,
-  /// service requests) so child processes chain to this span.
+  /// backend was off at entry).  Hand it to outgoing work (lease claims)
+  /// so child processes chain to this span.
   TraceContext context() const { return {trace_id_, span_id_}; }
 
   /// Attach a key/value to the trace event's `args` object.  No-ops when

@@ -8,6 +8,7 @@
 #include "common/fsck.hpp"
 #include "common/journal.hpp"
 #include "common/lease.hpp"
+#include "common/parse_number.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -37,6 +38,23 @@ TEST(Units, LiteralsConvert) {
   EXPECT_DOUBLE_EQ(150_um, 0.150);
   EXPECT_DOUBLE_EQ(6.9_mm, 6.9);
   EXPECT_DOUBLE_EQ(um_to_mm(20.0), 0.020);
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeFiniteInRangeNumbers) {
+  EXPECT_EQ(parse_number<long>("42"), 42);
+  EXPECT_EQ(parse_number<long>("-5"), -5);
+  EXPECT_EQ(parse_number<double>("1e-3"), 1e-3);
+  EXPECT_EQ(parse_number<double>("-5"), -5.0);
+  // Flag values that std::stod/std::atol abort on or silently truncate.
+  for (const char* bad : {"", "abc", "x", "5x", "4 ", " 4", "1.5.2", "--1"}) {
+    EXPECT_FALSE(parse_number<double>(bad)) << "accepted: '" << bad << "'";
+    EXPECT_FALSE(parse_number<long>(bad)) << "accepted: '" << bad << "'";
+  }
+  EXPECT_FALSE(parse_number<long>("2.5"));
+  EXPECT_FALSE(parse_number<long>("99999999999999999999"));  // out of range
+  EXPECT_FALSE(parse_number<int>("4294967297"));
+  for (const char* bad : {"1e999", "inf", "nan", "-inf"})
+    EXPECT_FALSE(parse_number<double>(bad)) << "accepted: '" << bad << "'";
 }
 
 TEST(Table, AlignsAndCounts) {
@@ -243,17 +261,20 @@ TEST(Fsck, RunDirCoversEveryRecognizedFile) {
   write_file(dir + "/shard-w0.jsonl", journal_lines(1));
   write_file(dir + "/shard-w1.jsonl",
              journal_lines(1) + "torn garbage\n");
-  write_file(dir + "/memo.jsonl", journal_lines(3));
   write_file(dir + "/leases.jsonl", lease_lines(2));
+  // Neither is a durable file of a run dir: both are left untouched and
+  // unreported, however journal-like their contents.
+  write_file(dir + "/memo.jsonl", journal_lines(3));
   write_file(dir + "/unrelated.txt", "left untouched and unreported\n");
 
   const FsckReport report = fsck_run_dir(dir, false);
-  EXPECT_EQ(report.files.size(), 5u);
+  EXPECT_EQ(report.files.size(), 4u);
   EXPECT_FALSE(report.clean());
   EXPECT_EQ(report.total_corrupt(), 1u);
   bool saw_shard1 = false;
   for (const FsckFile& f : report.files) {
     EXPECT_NE(f.name, "unrelated.txt");
+    EXPECT_NE(f.name, "memo.jsonl");
     EXPECT_EQ(f.event_log, f.name == "leases.jsonl");
     if (f.name == "shard-w1.jsonl") {
       saw_shard1 = true;

@@ -1,34 +1,21 @@
 /// Tests for the distributed-telemetry layer: the trace-context codecs
-/// (string form, service protocol, lease records — including byte-compat
-/// with pre-trace-context artifacts), deterministic cross-process shard
-/// merging (1/2/8 workers, stable pids, epoch alignment, torn shards),
-/// metrics-shard summation, the service `stats` scrape verb, and
-/// end-to-end trace adoption: a client call and the server spans it
-/// triggers land on one distributed trace id.
+/// (string form and lease records — including byte-compat with
+/// pre-trace-context artifacts), deterministic cross-process shard merging
+/// (1/2/8 workers, stable pids, epoch alignment, torn shards) and
+/// metrics-shard summation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <optional>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/cancel.hpp"
-#include "common/errors.hpp"
 #include "common/journal.hpp"
 #include "common/lease.hpp"
-#include "core/optimizer.hpp"
 #include "obs/merge.hpp"
 #include "obs/obs.hpp"
-#include "perf/benchmark.hpp"
-#include "service/client.hpp"
-#include "service/protocol.hpp"
-#include "service/server.hpp"
-#include "service/transport.hpp"
 
 namespace tacos {
 namespace {
@@ -41,19 +28,6 @@ std::string fresh_dir(const std::string& name) {
   fs::create_directories(dir);
   return dir;
 }
-
-/// Enable chosen backends for one test body; always restore "off" (the
-/// process default every other test in this binary relies on).
-struct ObsGuard {
-  ObsGuard(bool metrics, bool trace) {
-    obs::set_metrics_enabled(metrics);
-    obs::set_trace_enabled(trace);
-  }
-  ~ObsGuard() {
-    obs::set_metrics_enabled(false);
-    obs::set_trace_enabled(false);
-  }
-};
 
 // ------------------------------------------------- trace-context codec
 
@@ -83,65 +57,6 @@ TEST(TraceContextCodec, RejectsMalformedStrings) {
         "00000000deadbeef:0123456789abcdef:1"}) {
     EXPECT_FALSE(obs::parse_trace_context(bad, &out)) << "accepted: " << bad;
   }
-}
-
-TEST(TraceContextCodec, ScopedAmbientChainsNewSpans) {
-  ObsGuard on(false, true);
-  const obs::TraceContext ctx{0x1234, 0x5678};
-  obs::ScopedTraceContext scoped(ctx);
-  EXPECT_EQ(obs::current_trace_context(), ctx);
-  {
-    static obs::SpanSite site("telemetry.test.child", "test");
-    obs::TraceSpan span(site);
-    // The span joins the ambient trace with its own span id, and while
-    // open it (not the ambient) is what outgoing work chains from.
-    EXPECT_EQ(span.context().trace_id, ctx.trace_id);
-    EXPECT_NE(span.context().span_id, ctx.span_id);
-    EXPECT_EQ(obs::current_trace_context(), span.context());
-  }
-}
-
-// -------------------------------------------- service protocol carrier
-
-EvalRequest traced_ping(std::uint64_t trace, std::uint64_t span) {
-  EvalRequest req;
-  req.kind = EvalRequest::Kind::kPing;
-  req.trace_id = trace;
-  req.parent_span = span;
-  req.idem = request_idem_key(req);
-  return req;
-}
-
-TEST(ProtocolTraceContext, RequestRoundTripsContext) {
-  const EvalRequest req = traced_ping(0xfeedfaceull, 0xba5eba11ull);
-  EvalRequest back;
-  ASSERT_TRUE(decode_request(encode_request(req), &back));
-  EXPECT_EQ(back.trace_id, req.trace_id);
-  EXPECT_EQ(back.parent_span, req.parent_span);
-  EXPECT_EQ(back.idem, req.idem);
-}
-
-TEST(ProtocolTraceContext, UntracedRequestKeepsPreTraceBytes) {
-  // A zero trace id must leave no mark on the wire: the payload carries
-  // no `trace` line, so untraced request bytes are identical to what a
-  // pre-trace-context build emits (same kProtocolVersion too).
-  const std::string payload = encode_request(traced_ping(0, 0));
-  EXPECT_EQ(payload.find("trace"), std::string::npos) << payload;
-
-  // And a pre-trace-context payload (no `trace` line by construction)
-  // decodes to the zero context rather than erroring.
-  EvalRequest back;
-  ASSERT_TRUE(decode_request(payload, &back));
-  EXPECT_EQ(back.trace_id, 0u);
-  EXPECT_EQ(back.parent_span, 0u);
-}
-
-TEST(ProtocolTraceContext, IdemKeyIgnoresTraceContext) {
-  // A traced retry must hit the same memo slot as an untraced attempt:
-  // the idempotency key is blind to the trace context.
-  const EvalRequest untraced = traced_ping(0, 0);
-  const EvalRequest traced = traced_ping(0x1111, 0x2222);
-  EXPECT_EQ(request_idem_key(untraced), request_idem_key(traced));
 }
 
 // ------------------------------------------------- lease-record carrier
@@ -305,134 +220,6 @@ TEST(MetricsMerge, SumsCountersAcrossShards) {
   EXPECT_EQ(merged.shards.size(), 3u);
   EXPECT_EQ(merged.series, 3u);
   EXPECT_NE(merged.json.find("service.requests"), std::string::npos);
-}
-
-// ------------------------------------------------ service-level checks
-
-/// An in-process server on a Unix socket under its own run dir.
-struct TestServer {
-  ServerOptions options;
-  CancelToken stop;
-  std::thread thread;
-  ServerStats stats;
-
-  explicit TestServer(const std::string& dir) {
-    options.endpoint = parse_endpoint(dir + "/svc.sock");
-    options.memo_dir = dir;
-  }
-  ~TestServer() { shutdown(); }
-
-  void start() {
-    thread = std::thread([this] { stats = serve_forever(options, &stop); });
-    for (int i = 0; i < 500; ++i) {
-      try {
-        Conn probe = connect_endpoint(options.endpoint, 200);
-        if (probe.ok()) return;
-      } catch (const ServiceError&) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ADD_FAILURE() << "server never came up on "
-                  << options.endpoint.describe();
-  }
-
-  void shutdown() {
-    stop.cancel();
-    if (thread.joinable()) thread.join();
-  }
-};
-
-ClientOptions client_options(const Endpoint& ep, int attempts = 5) {
-  ClientOptions o;
-  o.endpoint = ep;
-  o.max_attempts = attempts;
-  o.backoff = BackoffPolicy{20, 200, 0.0, 0};  // fast retries for tests
-  return o;
-}
-
-EvalConfig small_config() {
-  EvalConfig c;
-  c.thermal.grid_nx = c.thermal.grid_ny = 12;
-  return c;
-}
-
-OptimizerOptions small_options() {
-  OptimizerOptions o;
-  o.step_mm = 4.0;
-  o.starts = 3;
-  return o;
-}
-
-TEST(StatsVerb, ScrapesLiveRequestMetrics) {
-  const std::string dir = fresh_dir("stats");
-  TestServer server(dir);
-  server.start();
-  EvalClient client(client_options(server.options.endpoint));
-  ASSERT_TRUE(client.ping());
-
-  const std::optional<std::string> payload = client.stats();
-  ASSERT_TRUE(payload.has_value()) << "stats verb not answered";
-  // The scrape works with --metrics off on the server: per-request
-  // accounting is always on.  Spot-check the counter lines and all three
-  // quantile histograms.
-  for (const char* key :
-       {"uptime_ms", "requests", "served_ok", "memo_hits", "shed",
-        "hist latency_ms", "hist queue_wait_ms", "hist solve_ms", "p99"}) {
-    EXPECT_NE(payload->find(key), std::string::npos)
-        << "stats payload lacks '" << key << "':\n" << *payload;
-  }
-}
-
-/// Distributed trace ids (the "trace" arg) of every span named `name` in
-/// a tracer JSON export.
-std::set<std::string> trace_ids_for(const std::string& json,
-                                    const std::string& name) {
-  std::set<std::string> out;
-  const std::string needle = "\"name\":\"" + name + "\"";
-  std::size_t pos = 0;
-  while ((pos = json.find(needle, pos)) != std::string::npos) {
-    std::size_t eol = json.find('\n', pos);
-    if (eol == std::string::npos) eol = json.size();
-    const std::string line = json.substr(pos, eol - pos);
-    const std::string tr = "\"trace\":\"";
-    const std::size_t t = line.find(tr);
-    if (t != std::string::npos) {
-      const std::size_t begin = t + tr.size();
-      out.insert(line.substr(begin, line.find('"', begin) - begin));
-    }
-    pos = eol;
-  }
-  return out;
-}
-
-TEST(DistributedTrace, ServerSpansChainToClientCall) {
-  ObsGuard on(false, true);
-  obs::Tracer::global().reset();
-
-  const std::string dir = fresh_dir("adopt");
-  TestServer server(dir);
-  server.start();
-  EvalClient client(client_options(server.options.endpoint));
-  const std::string payload = client.optimize(
-      small_config(), small_options(),
-      std::string(representative_benchmarks()[0]), 0.0);
-  EXPECT_FALSE(payload.empty());
-  server.shutdown();
-
-  // Server and client share this process's tracer, so the export holds
-  // both sides.  The acceptance bar: one distributed trace id runs from
-  // the client call through the server's request handling into the solve.
-  const std::string json = obs::Tracer::global().to_json();
-  const std::set<std::string> call = trace_ids_for(json, "service.client.call");
-  const std::set<std::string> request = trace_ids_for(json, "service.request");
-  const std::set<std::string> solve = trace_ids_for(json, "service.solve");
-  ASSERT_FALSE(call.empty());
-  ASSERT_FALSE(request.empty());
-  ASSERT_FALSE(solve.empty());
-  bool shared = false;
-  for (const std::string& id : call)
-    if (request.count(id) && solve.count(id)) shared = true;
-  EXPECT_TRUE(shared) << "no trace id runs client -> server -> solve";
 }
 
 }  // namespace

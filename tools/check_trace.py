@@ -41,8 +41,8 @@ Exit status 0 when everything holds, 1 with a message per violation.
   cross-process trace propagation (--require-shared-trace NAME NAME ...):
     * every named span is present, and at least one distributed trace id
       (the "trace" arg spans stamp when tracing is on) is shared by all
-      of them — how CI asserts that e.g. a client call, the server's
-      request handling, and the solve it triggered landed on one trace.
+      of them — how CI asserts that e.g. the supervisor's run.main and
+      the fabric workers' fabric.task spans landed on one trace.
 
 Usage:
   tools/check_trace.py --trace trace.json --metrics metrics.json \

@@ -13,16 +13,7 @@
 ///   batch     [alpha] [beta] [threshold] [grid] [step]
 ///                                         — optimize every benchmark
 ///                                           (durable: --run-dir/--resume;
-///                                           offloadable: --remote=ADDR)
-///   serve                                 — persistent evaluation server
-///                                           (--socket=PATH | --port=N,
-///                                           memo cache in --run-dir)
-///   eval-remote <bench> <n> <s1> <s2> <s3> <f_idx> <p>
-///                                         — one organization, evaluated
-///                                           by the server (--remote=ADDR)
-///   ping [--stats]                        — probe the server (--remote);
-///                                           --stats scrapes its live
-///                                           request metrics
+///                                           multi-process: --workers=N)
 ///   trace-merge [run-dir]                 — merge per-process telemetry
 ///                                           shards into trace-merged.json
 ///                                           / metrics-merged.json
@@ -35,9 +26,9 @@
 ///
 /// Every command prints plain text.  Exit-code discipline (see
 /// src/common/errors.hpp): 0 success, 1 usage error, 2 generic
-/// tacos::Error, 3 SolverError, 4 ThermalError, 5 EvalError, 6
-/// ServiceError, 65 corrupt data found by fsck (EX_DATAERR), 70 other
-/// std::exception, 75 interrupted (resumable).  Failures emit one
+/// tacos::Error, 3 SolverError, 4 ThermalError, 5 EvalError, 65 corrupt
+/// data found by fsck (EX_DATAERR), 70 other std::exception, 75
+/// interrupted (resumable).  Failures emit one
 /// structured stderr line:
 ///   tacos-error kind=<class> code=<n>: <message>
 ///
@@ -64,9 +55,7 @@
 /// Commands that run the thermal stack print the run's health summary
 /// (recoveries, degradations, quarantines) to stderr afterwards.
 
-#include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -82,6 +71,7 @@
 #include "common/fsck.hpp"
 #include "common/journal.hpp"
 #include "common/lease.hpp"
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "core/fabric.hpp"
@@ -89,8 +79,6 @@
 #include "cost/cost_model.hpp"
 #include "obs/merge.hpp"
 #include "obs/obs.hpp"
-#include "service/client.hpp"
-#include "service/server.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -128,20 +116,6 @@ PrecondKind g_precond = PrecondKind::kAuto;
 /// Observability knobs from --metrics/--trace (docs/OBSERVABILITY.md).
 obs::ObsOptions g_obs;
 
-/// Evaluation-service knobs (docs/ROBUSTNESS.md "The evaluation
-/// service").  --remote=ADDR points batch/eval-remote/ping at a running
-/// `tacos_cli serve`; --socket/--port pick the serve transport; the rest
-/// tune the client's retry/deadline behavior and the server's admission
-/// control.
-std::string g_remote;                  ///< --remote=ADDR (client side)
-std::string g_socket;                  ///< serve: unix socket path
-long g_port = -1;                      ///< serve: TCP port (-1 = unix)
-std::size_t g_serve_threads = 2;       ///< serve: worker pool size
-std::size_t g_serve_queue = 8;         ///< serve: admission queue bound
-std::uint64_t g_remote_deadline_ms = 0;///< per-request transport deadline
-int g_remote_attempts = 5;             ///< client retry budget
-std::uint64_t g_serve_hold_ms = 0;     ///< --fault-serve-hold-ms (testing)
-
 /// Evaluation fidelity from --fidelity (docs/PERFORMANCE.md): full runs
 /// every candidate through the leakage fixed point; ladder screens them on
 /// a half-resolution model first; auto picks the ladder whenever that
@@ -158,10 +132,6 @@ bool g_refine = false;
 /// --refine-tol-mm: spacing resolution at which the descent stops.
 double g_refine_tol_mm = 1e-3;
 
-/// Client options shared by every --remote consumer (defined with the
-/// service commands below).
-ClientOptions make_client_options();
-
 int usage() {
   std::cerr <<
       "usage: tacos_cli [--threads=N] [--fault-pcg-every=N]"
@@ -176,10 +146,6 @@ int usage() {
       "                 [--fidelity=auto|full|ladder]"
       " [--surrogate-keep-frac=F]\n"
       "                 [--refine] [--refine-tol-mm=T]\n"
-      "                 [--remote=ADDR] [--remote-deadline-ms=T]"
-      " [--remote-attempts=K]\n"
-      "                 [--socket=PATH] [--port=N] [--serve-threads=N]\n"
-      "                 [--serve-queue=N] [--fault-serve-hold-ms=T]\n"
       "                 [--metrics[=FILE]] [--trace[=FILE]]"
       " <command> [args]\n"
       "  list\n"
@@ -190,11 +156,6 @@ int usage() {
       "  cost     <n:4|16> <interposer_mm>\n"
       "  batch    [alpha=1] [beta=0] [threshold_c=85] [grid=32]"
       " [step=0.5]\n"
-      "  serve                 (requires --socket=PATH or --port=N,"
-      " and --run-dir)\n"
-      "  eval-remote <bench> <n> <s1> <s2> <s3> <f_idx> <p>"
-      "   (requires --remote)\n"
-      "  ping [--stats]        (requires --remote)\n"
       "  trace-merge [run-dir] (merge telemetry shards; or --run-dir)\n"
       "  status   [run-dir]    (live run-status view; or --run-dir)\n"
       "  fsck     [--fix]      (requires --run-dir)\n";
@@ -377,31 +338,6 @@ int cmd_batch(const std::vector<std::string>& a) {
   fab.lease_ttl_ms = g_lease_ttl_ms;
   fab.task_deadline_s = g_task_deadline_s;
 
-  if (!g_remote.empty()) {
-    // Offload every task to the evaluation service.  The hook slots in
-    // underneath optimize_one_guarded, so journal replay, --resume and
-    // the sweep fabric keep their exact semantics — fabric workers
-    // inherit --remote through the re-exec'd command line and install
-    // their own hook here.  One client (and one jitter seed) per worker
-    // thread: the client is not thread-safe, and distinct seeds keep a
-    // fleet's retries from synchronizing into a thundering herd.
-    set_remote_optimize_hook([](const EvalConfig& config,
-                                const std::string& bench,
-                                const OptimizerOptions& o,
-                                double task_deadline_s) {
-      thread_local std::unique_ptr<EvalClient> client;
-      if (!client) {
-        ClientOptions copt = make_client_options();
-        static std::atomic<std::uint64_t> next_seed{0};
-        copt.backoff.seed =
-            next_seed.fetch_add(1, std::memory_order_relaxed);
-        client = std::make_unique<EvalClient>(copt);
-      }
-      return client->optimize(config, o, bench, task_deadline_s);
-    });
-    std::cerr << "[remote] offloading evaluation to " << g_remote << "\n";
-  }
-
   if (g_fabric_worker >= 0) {
     // Worker process of a --workers=N sweep: run the claim → run →
     // publish loop against the shared run dir and exit.  The canonical
@@ -532,108 +468,6 @@ int cmd_batch(const std::vector<std::string>& a) {
   return exit_code::kOk;
 }
 
-ClientOptions make_client_options() {
-  ClientOptions copt;
-  copt.endpoint = parse_endpoint(g_remote);
-  copt.max_attempts = g_remote_attempts;
-  copt.request_deadline_ms = g_remote_deadline_ms;
-  copt.cancel = &global_cancel_token();
-  return copt;
-}
-
-/// Persistent evaluation server: listen, serve, drain on SIGINT/SIGTERM.
-/// The memo cache lives in --run-dir, so a restarted server resumes with
-/// every previously computed response intact.
-int cmd_serve() {
-  if (g_socket.empty() && g_port < 0) {
-    std::cerr << "serve requires --socket=PATH or --port=N\n";
-    return exit_code::kUsage;
-  }
-  if (g_run_dir.empty()) {
-    std::cerr << "serve requires --run-dir=DIR (the memo cache lives"
-                 " there)\n";
-    return exit_code::kUsage;
-  }
-  ServerOptions sopt;
-  if (g_port >= 0) {
-    sopt.endpoint.tcp = true;
-    sopt.endpoint.port = static_cast<std::uint16_t>(g_port);
-  } else {
-    sopt.endpoint.path = g_socket;
-  }
-  sopt.memo_dir = g_run_dir;
-  sopt.threads = g_serve_threads;
-  sopt.queue_capacity = g_serve_queue;
-  sopt.fault_hold_ms = g_serve_hold_ms;
-  const ServerStats st = serve_forever(sopt, &global_cancel_token());
-  std::cerr << format_drain_summary(st) << "\n";
-  // The only way out is a shutdown signal; like every interrupted run,
-  // the server exits 75 — its durable state resumes on the next start.
-  return exit_code::kInterrupted;
-}
-
-/// One organization evaluated by the server (the remote twin of
-/// `evaluate`).  Fault plans are deliberately not forwarded: the server
-/// computes under its own, clean configuration.
-int cmd_eval_remote(const std::vector<std::string>& a) {
-  if (a.size() != 7) return usage();
-  if (g_remote.empty()) {
-    std::cerr << "eval-remote requires --remote=ADDR\n";
-    return exit_code::kUsage;
-  }
-  EvalConfig cfg;
-  cfg.thermal.grid_nx = cfg.thermal.grid_ny = 32;
-  cfg.thermal.solve.precond = g_precond;
-  cfg.thermal.solve.mg_mixed_precision = g_mg_mixed;
-  cfg.ladder.mode = g_fidelity;
-  cfg.ladder.keep_frac = g_keep_frac;
-  const OptimizerOptions opts;
-  const Organization org{
-      std::stoi(a[1]),
-      Spacing{std::stod(a[2]), std::stod(a[3]), std::stod(a[4])},
-      std::stoul(a[5]), std::stoi(a[6])};
-  EvalClient client(make_client_options());
-  bool memo = false;
-  const std::string payload = client.evaluate(cfg, opts, a[0], org, &memo);
-  std::cout << payload;
-  std::cerr << "[remote] " << (memo ? "memo hit" : "computed") << " via "
-            << g_remote << " in " << client.last_attempts()
-            << " attempt(s)\n";
-  return exit_code::kOk;
-}
-
-/// Liveness probe (single attempt): exit 0 iff the server answers.  With
-/// `--stats`, scrape and print the server's live request metrics instead.
-int cmd_ping(const std::vector<std::string>& a) {
-  bool stats = false;
-  for (const std::string& s : a) {
-    if (s == "--stats")
-      stats = true;
-    else
-      return usage();
-  }
-  if (g_remote.empty()) {
-    std::cerr << "ping requires --remote=ADDR\n";
-    return exit_code::kUsage;
-  }
-  EvalClient client(make_client_options());
-  if (stats) {
-    const std::optional<std::string> payload = client.stats();
-    if (!payload) {
-      std::cerr << "no response from " << g_remote << "\n";
-      return exit_code::kService;
-    }
-    std::cout << *payload;
-    return exit_code::kOk;
-  }
-  if (client.ping()) {
-    std::cout << "pong\n";
-    return exit_code::kOk;
-  }
-  std::cerr << "no response from " << g_remote << "\n";
-  return exit_code::kService;
-}
-
 /// The run dir a read-only telemetry command operates on: the positional
 /// argument when given, else --run-dir.
 std::string telemetry_dir(const std::vector<std::string>& a) {
@@ -691,7 +525,7 @@ bool pid_alive(long pid) {
 }
 
 /// Live run-status view: sweep progress, per-worker lease state, and the
-/// merged health/service counters of a run directory.  Strictly read-only
+/// merged health counters of a run directory.  Strictly read-only
 /// — safe to point at a directory another process is actively writing —
 /// and exits 0 on live, finished, and dead runs alike.
 int cmd_status(const std::vector<std::string>& a) {
@@ -786,23 +620,10 @@ int cmd_status(const std::vector<std::string>& a) {
 
   // Merged telemetry: the counters of every metrics shard, summed.
   const std::map<std::string, double> counters = obs::merged_counters(dir);
-  const auto get = [&](const char* name) -> double {
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0.0 : it->second;
-  };
-  const double memo_hits = get("service.memo_hits");
-  const double memo_misses = get("service.memo_misses");
-  if (memo_hits + memo_misses > 0)
-    std::cout << "memo: " << memo_hits << " hit(s) / " << memo_misses
-              << " miss(es) ("
-              << static_cast<int>(100.0 * memo_hits /
-                                  (memo_hits + memo_misses))
-              << "% hit rate)\n";
   bool counters_header = false;
   for (const auto& [name, value] : counters) {
-    const bool interesting = name.rfind("service.", 0) == 0 ||
-                             name.rfind("health.", 0) == 0 ||
-                             name == "thermal.solves";
+    const bool interesting =
+        name.rfind("health.", 0) == 0 || name == "thermal.solves";
     if (!interesting) continue;
     if (!counters_header) {
       std::cout << "counters (merged from metrics shards):\n";
@@ -879,17 +700,17 @@ int main(int argc, char** argv) {
   while (first < argc && std::string(argv[first]).rfind("--", 0) == 0) {
     const std::string flag = argv[first];
     if (flag.rfind("--threads=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 10);
-      if (n < 1) return usage();
-      ThreadPool::set_global_threads(static_cast<std::size_t>(n));
+      const std::optional<long> n = parse_number<long>(flag.substr(10));
+      if (!n || *n < 1) return usage();
+      ThreadPool::set_global_threads(static_cast<std::size_t>(*n));
     } else if (flag.rfind("--fault-pcg-every=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 18);
-      if (n < 1) return usage();
-      g_fault.pcg_fail_every = static_cast<std::size_t>(n);
+      const std::optional<long> n = parse_number<long>(flag.substr(18));
+      if (!n || *n < 1) return usage();
+      g_fault.pcg_fail_every = static_cast<std::size_t>(*n);
     } else if (flag.rfind("--fault-pcg-rungs=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 18);
-      if (n < 1) return usage();
-      g_fault.pcg_fail_rungs = static_cast<int>(n);
+      const std::optional<int> n = parse_number<int>(flag.substr(18));
+      if (!n || *n < 1) return usage();
+      g_fault.pcg_fail_rungs = *n;
     } else if (flag == "--fault-leak-nonconverge") {
       g_fault.leak_force_nonconverge = true;
     } else if (flag.rfind("--fidelity=", 0) == 0) {
@@ -898,78 +719,52 @@ int main(int argc, char** argv) {
       if (!m) return usage();
       g_fidelity = *m;
     } else if (flag.rfind("--surrogate-keep-frac=", 0) == 0) {
-      g_keep_frac = std::stod(flag.substr(22));
-      if (!(g_keep_frac >= 0.0 && g_keep_frac <= 1.0)) return usage();
+      const std::optional<double> f = parse_number<double>(flag.substr(22));
+      if (!f || *f < 0.0 || *f > 1.0) return usage();
+      g_keep_frac = *f;
     } else if (flag == "--mg-mixed") {
       g_mg_mixed = true;
     } else if (flag == "--refine") {
       g_refine = true;
     } else if (flag.rfind("--refine-tol-mm=", 0) == 0) {
-      g_refine_tol_mm = std::stod(flag.substr(16));
-      if (!(g_refine_tol_mm > 0.0)) return usage();
+      const std::optional<double> t = parse_number<double>(flag.substr(16));
+      if (!t || *t <= 0.0) return usage();
+      g_refine_tol_mm = *t;
     } else if (flag.rfind("--workers=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 10);
-      if (n < 1) return usage();
-      g_workers = static_cast<int>(n);
+      const std::optional<int> n = parse_number<int>(flag.substr(10));
+      if (!n || *n < 1) return usage();
+      g_workers = *n;
     } else if (flag.rfind("--lease-ttl-ms=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 15);
-      if (n < 1) return usage();
-      g_lease_ttl_ms = static_cast<std::uint64_t>(n);
+      const std::optional<long> n = parse_number<long>(flag.substr(15));
+      if (!n || *n < 1) return usage();
+      g_lease_ttl_ms = static_cast<std::uint64_t>(*n);
     } else if (flag.rfind("--fault-worker-crash-after=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 27);
-      if (n < 1) return usage();
-      g_fault.worker_crash_after = static_cast<std::size_t>(n);
+      const std::optional<long> n = parse_number<long>(flag.substr(27));
+      if (!n || *n < 1) return usage();
+      g_fault.worker_crash_after = static_cast<std::size_t>(*n);
     } else if (flag.rfind("--fault-worker-crash-task=", 0) == 0) {
       g_fault.worker_crash_task = flag.substr(26);
       if (g_fault.worker_crash_task.empty()) return usage();
     } else if (flag.rfind("--fault-lease-stall-ms=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 23);
-      if (n < 1) return usage();
-      g_fault.lease_stall_ms = static_cast<std::uint64_t>(n);
+      const std::optional<long> n = parse_number<long>(flag.substr(23));
+      if (!n || *n < 1) return usage();
+      g_fault.lease_stall_ms = static_cast<std::uint64_t>(*n);
     } else if (flag.rfind("--fabric-worker=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 16);
-      if (n < 0) return usage();
-      g_fabric_worker = static_cast<int>(n);
+      const std::optional<int> n = parse_number<int>(flag.substr(16));
+      if (!n || *n < 0) return usage();
+      g_fabric_worker = *n;
     } else if (flag.rfind("--fabric-incarnation=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 21);
-      if (n < 0) return usage();
-      g_fabric_incarnation = static_cast<int>(n);
-    } else if (flag.rfind("--remote=", 0) == 0) {
-      g_remote = flag.substr(9);
-      if (g_remote.empty()) return usage();
-    } else if (flag.rfind("--remote-deadline-ms=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 21);
-      if (n < 1) return usage();
-      g_remote_deadline_ms = static_cast<std::uint64_t>(n);
-    } else if (flag.rfind("--remote-attempts=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 18);
-      if (n < 1) return usage();
-      g_remote_attempts = static_cast<int>(n);
-    } else if (flag.rfind("--socket=", 0) == 0) {
-      g_socket = flag.substr(9);
-      if (g_socket.empty()) return usage();
-    } else if (flag.rfind("--port=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 7);
-      if (n < 0 || n > 65535) return usage();
-      g_port = n;
-    } else if (flag.rfind("--serve-threads=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 16);
-      if (n < 1) return usage();
-      g_serve_threads = static_cast<std::size_t>(n);
-    } else if (flag.rfind("--serve-queue=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 14);
-      if (n < 1) return usage();
-      g_serve_queue = static_cast<std::size_t>(n);
-    } else if (flag.rfind("--fault-serve-hold-ms=", 0) == 0) {
-      const long n = std::atol(flag.c_str() + 22);
-      if (n < 1) return usage();
-      g_serve_hold_ms = static_cast<std::uint64_t>(n);
+      const std::optional<int> n = parse_number<int>(flag.substr(21));
+      if (!n || *n < 0) return usage();
+      g_fabric_incarnation = *n;
     } else if (flag.rfind("--run-dir=", 0) == 0) {
       g_run_dir = flag.substr(10);
     } else if (flag == "--resume") {
       g_resume = true;
     } else if (flag.rfind("--task-deadline=", 0) == 0) {
-      g_task_deadline_s = std::stod(flag.substr(16));
+      const std::optional<double> d = parse_number<double>(flag.substr(16));
+      if (!d || *d < 0.0) return usage();
+      g_task_deadline_s = *d;
     } else if (flag.rfind("--precond=", 0) == 0) {
       if (!parse_precond_name(flag.substr(10), &g_precond)) return usage();
     } else if (g_obs.parse_flag(flag)) {
@@ -988,10 +783,6 @@ int main(int argc, char** argv) {
     // run dir, so N workers never clobber the supervisor's artifacts and
     // `tacos_cli trace-merge` can join them into one timeline.
     g_obs.shard_suffix = "w" + std::to_string(g_fabric_worker);
-  } else if (cmd == "serve") {
-    // The server is its own shard ("trace-serve.json") for the same
-    // reason: it often shares a run dir with the sweep that drives it.
-    g_obs.shard_suffix = "serve";
   } else if (cmd == "status" || cmd == "trace-merge") {
     // Read-only commands must not create, preload, or republish telemetry
     // artifacts in a directory they merely inspect.
@@ -1014,9 +805,6 @@ int main(int argc, char** argv) {
     else if (cmd == "sweep") rc = cmd_sweep(args);
     else if (cmd == "cost") rc = cmd_cost(args);
     else if (cmd == "batch") rc = cmd_batch(args);
-    else if (cmd == "serve") rc = cmd_serve();
-    else if (cmd == "eval-remote") rc = cmd_eval_remote(args);
-    else if (cmd == "ping") rc = cmd_ping(args);
     else if (cmd == "trace-merge") rc = cmd_trace_merge(args);
     else if (cmd == "status") rc = cmd_status(args);
     else if (cmd == "fsck") rc = cmd_fsck(args);
