@@ -4,96 +4,35 @@
 ///
 /// Every bench binary regenerates one table/figure from the paper and
 /// prints (a) the aligned text table and (b) the same rows as CSV, so the
-/// output can be redirected straight into a plotting script.  An optional
-/// first argument overrides the thermal grid resolution (e.g.
-/// `./fig5_spacing_sweep 64` for paper-resolution grids).
+/// output can be redirected straight into a plotting script.
 ///
-/// Durable runs: `--run-dir=DIR` journals every completed task so a killed
-/// sweep can be restarted with `--resume` (journaled tasks replay instead
-/// of recomputing — output is byte-identical to an uninterrupted run);
-/// `--task-deadline=SECONDS` bounds each task's wall clock; SIGINT/SIGTERM
-/// drain in-flight tasks, flush the journal, and exit with code 75
-/// (resumable).  See docs/ROBUSTNESS.md.
+/// Each main parses its command line through one `Harness`, naming the
+/// flags it honours (src/entry/run_options.hpp): any other flag exits 1
+/// with the usage text generated from the flag table.  A runner that
+/// solves thermal models takes the grid resolution as its one positional
+/// argument (e.g. `./fig5_spacing_sweep 64` for paper-resolution grids).
+/// A journaling runner's `--run-dir=DIR` journals every completed task so
+/// a killed sweep resumes byte-identically with `--resume`; SIGINT/SIGTERM
+/// drain it and exit 75 (resumable).  See docs/ROBUSTNESS.md.
 
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
-#include "common/parse_number.hpp"
 #include "core/experiments.hpp"
+#include "entry/run_options.hpp"
 #include "obs/obs.hpp"
 
 namespace tacos::benchmain {
 
-/// The process's observability configuration: every entry path (Harness
-/// or options_from_args) parses into this one instance, and run() /
-/// report_health() / Harness::finish() publish from it.
+/// The process's observability configuration, as the Harness opened it;
+/// run() / report_health() / Harness::finish() publish from it.
 inline obs::ObsOptions& obs_options() {
   static obs::ObsOptions o;
   return o;
-}
-
-/// Reject one command-line argument: say why, print the usage line
-/// (`argv0` followed by `flags`) and exit 1.
-[[noreturn]] inline void reject_arg(const std::string& why, const char* argv0,
-                                    const char* flags) {
-  std::cerr << why << "\nusage: " << argv0 << flags
-            << obs::ObsOptions::usage() << '\n';
-  std::exit(EXIT_FAILURE);
-}
-
-/// The positional grid-resolution argument: a positive integer.
-inline std::size_t grid_arg(const std::string& arg, const char* argv0,
-                            const char* flags) {
-  const std::optional<long> grid = parse_number<long>(arg);
-  if (!grid || *grid < 1)
-    reject_arg("bad grid (want a positive integer): " + arg, argv0, flags);
-  return static_cast<std::size_t>(*grid);
-}
-
-/// The value of `--refine-tol-mm=T`: a positive number of millimetres.
-inline double refine_tol_arg(const std::string& arg, const char* argv0,
-                             const char* flags) {
-  const std::optional<double> tol = parse_number<double>(arg.substr(16));
-  if (!tol || *tol <= 0.0)
-    reject_arg("bad --refine-tol-mm value (want > 0): " + arg, argv0, flags);
-  return *tol;
-}
-
-/// Parse the optional grid-resolution argument plus the observability
-/// flags (`--metrics[=FILE]`, `--trace[=FILE]`) and the steady-state
-/// preconditioner override (`--precond={auto,jacobi,mg}`).
-inline ExperimentOptions options_from_args(int argc, char** argv,
-                                           ExperimentOptions defaults = {}) {
-  static constexpr const char* kFlags =
-      " [grid] [--precond=auto|jacobi|mg] [--refine] [--refine-tol-mm=T]";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (obs_options().parse_flag(arg)) continue;
-    if (arg.rfind("--precond=", 0) == 0) {
-      if (!parse_precond_name(arg.substr(10), &defaults.precond))
-        reject_arg("bad --precond value (want auto|jacobi|mg): " + arg,
-                   argv[0], kFlags);
-      continue;
-    }
-    if (arg == "--refine") {
-      defaults.refine = true;
-      continue;
-    }
-    if (arg.rfind("--refine-tol-mm=", 0) == 0) {
-      defaults.refine_tol_mm = refine_tol_arg(arg, argv[0], kFlags);
-      continue;
-    }
-    if (!arg.empty() && arg[0] == '-')
-      reject_arg("unknown flag: " + arg, argv[0], kFlags);
-    defaults.grid = grid_arg(arg, argv[0], kFlags);
-  }
-  obs_options().finalize();
-  return defaults;
 }
 
 /// Print a runner's RunHealth next to its results (stderr, one line), so
@@ -135,80 +74,44 @@ int run(const std::string& title, Fn&& make_table) {
   }
 }
 
-/// Durable-run scaffolding for the experiment binaries: parses
-/// `--run-dir=DIR`, `--resume`, `--task-deadline=SECONDS`, and the
-/// optional positional grid override; installs the SIGINT/SIGTERM
-/// handlers; and wires the write-ahead journal and the global cancel
-/// token into `ExperimentOptions::run`.
+/// The command line of one bench main: parses argv against `flags` on top
+/// of the main's `defaults`, then opens the run directory.  A runner with --precond
+/// takes the grid as its one positional argument; a runner with
+/// --run-dir journals its tasks, and only such a runner installs the
+/// SIGINT/SIGTERM handlers that trip the cancel token its tasks poll.
 class Harness {
  public:
-  Harness(int argc, char** argv, ExperimentOptions defaults = {})
-      : opts_(defaults) {
-    static constexpr const char* kFlags =
-        " [grid] [--run-dir=DIR [--resume]] [--task-deadline=SECONDS]"
-        " [--precond=auto|jacobi|mg] [--refine] [--refine-tol-mm=T]";
-    std::string run_dir;
-    bool resume = false;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--run-dir=", 0) == 0) {
-        run_dir = arg.substr(10);
-      } else if (arg == "--resume") {
-        resume = true;
-      } else if (arg.rfind("--task-deadline=", 0) == 0) {
-        const std::optional<double> d = parse_number<double>(arg.substr(16));
-        if (!d || *d < 0.0)
-          reject_arg("bad --task-deadline value (want >= 0 seconds): " + arg,
-                     argv[0], kFlags);
-        opts_.run.task_deadline_s = *d;
-      } else if (arg.rfind("--precond=", 0) == 0) {
-        if (!parse_precond_name(arg.substr(10), &opts_.precond))
-          reject_arg("bad --precond value (want auto|jacobi|mg): " + arg,
-                     argv[0], kFlags);
-      } else if (arg == "--refine") {
-        opts_.refine = true;
-      } else if (arg.rfind("--refine-tol-mm=", 0) == 0) {
-        opts_.refine_tol_mm = refine_tol_arg(arg, argv[0], kFlags);
-      } else if (obs_options().parse_flag(arg)) {
-        // consumed by the observability layer
-      } else if (!arg.empty() && arg[0] == '-') {
-        reject_arg("unknown flag: " + arg, argv[0], kFlags);
-      } else {
-        opts_.grid = grid_arg(arg, argv[0], kFlags);
-      }
+  Harness(int argc, char** argv, entry::FlagSet flags,
+          ExperimentOptions defaults = {}) {
+    opts_.experiment = std::move(defaults);
+    const bool takes_grid = (flags & entry::kPrecond) != 0;
+    const char* positionals = takes_grid ? "[grid]" : "";
+    const std::vector<std::string> pos =
+        entry::parse_args(argc, argv, flags, positionals, opts_);
+    try {
+      if (pos.size() > (takes_grid ? 1u : 0u))
+        throw entry::UsageError("unexpected argument: " + pos.back());
+      if (!pos.empty())
+        opts_.experiment.grid = entry::positional<std::size_t>(
+            pos[0], "grid (want an integer >= 1)", 1);
+    } catch (const entry::UsageError& e) {
+      entry::exit_usage(e.what(), argv[0], flags, positionals);
     }
-    if (resume && run_dir.empty()) {
-      std::cerr << "--resume requires --run-dir=DIR\n";
-      std::exit(EXIT_FAILURE);
+    const bool journals = (flags & entry::kRunDir) != 0;
+    try {
+      if (const int rc = entry::open_run_dir(opts_, journals)) std::exit(rc);
+    } catch (const std::exception& e) {
+      std::cerr << diagnostic_line(e) << '\n';
+      std::exit(exit_code_for(e));
     }
-    if (!run_dir.empty()) {
-      journal_ = std::make_unique<RunJournal>(run_dir);
-      const RunJournal::LoadStats st = journal_->load();
-      if (st.dropped > 0)
-        std::cerr << "[journal] dropped " << st.dropped
-                  << " torn/corrupt record(s) from " << journal_->path()
-                  << "; their tasks will be recomputed\n";
-      if (journal_->size() > 0 && !resume) {
-        std::cerr << "run directory " << run_dir
-                  << " already holds a journal (" << journal_->task_count()
-                  << " completed task(s)); pass --resume to continue it or "
-                     "use a fresh --run-dir\n";
-        std::exit(EXIT_FAILURE);
-      }
-      if (resume)
-        std::cerr << "[journal] resuming: " << journal_->task_count()
-                  << " task(s) already complete in " << run_dir << '\n';
-      opts_.run.journal = journal_.get();
+    obs_options() = opts_.obs;
+    if (journals) {
+      install_signal_handlers();
+      opts_.experiment.run.cancel = &global_cancel_token();
     }
-    // Observability artifacts live next to the journal: a resumed run
-    // preloads and extends the same record.
-    obs_options().finalize(run_dir, resume);
-    install_signal_handlers();
-    opts_.run.cancel = &global_cancel_token();
   }
 
-  ExperimentOptions& options() { return opts_; }
-  const ExperimentOptions& options() const { return opts_; }
+  const ExperimentOptions& options() const { return opts_.experiment; }
 
   /// Map the table status to the run outcome: an interrupted run exits
   /// with the distinct resumable code (75) after telling the operator how
@@ -220,9 +123,9 @@ class Harness {
     if (obs_options().any()) obs_options().publish();
     if (run_interrupted()) {
       std::cerr << "[run] interrupted";
-      if (journal_)
+      if (opts_.journal)
         std::cerr << "; completed tasks are journaled — resume with "
-                     "--run-dir=" << journal_->dir() << " --resume";
+                     "--run-dir=" << opts_.run_dir << " --resume";
       std::cerr << '\n';
       return exit_code::kInterrupted;
     }
@@ -230,8 +133,7 @@ class Harness {
   }
 
  private:
-  ExperimentOptions opts_;
-  std::unique_ptr<RunJournal> journal_;
+  entry::RunOptions opts_;
 };
 
 }  // namespace tacos::benchmain

@@ -53,8 +53,9 @@ tacos::TextTable ablation_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: allocation-policy ablation (iso-cost max IPS)",
-      [&] { return ablation_table(opts); });
+      [&] { return ablation_table(harness.options()); });
 }

@@ -61,8 +61,10 @@ tacos::TextTable annealing_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  using namespace tacos::entry;
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          kSolveFlags | kRefineFlags, defaults);
   return tacos::benchmain::run(
       "Extension: multi-start greedy vs simulated annealing",
-      [&] { return annealing_table(opts); });
+      [&] { return annealing_table(harness.options()); });
 }

@@ -59,8 +59,9 @@ tacos::TextTable multiapp_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: multi-application organization strategies",
-      [&] { return multiapp_table(opts); });
+      [&] { return multiapp_table(harness.options()); });
 }

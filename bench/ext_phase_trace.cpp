@@ -19,8 +19,7 @@ tacos::TextTable trace_table(const tacos::ExperimentOptions& opts) {
   std::vector<int> all(256);
   for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
 
-  ThermalConfig cfg;
-  cfg.grid_nx = cfg.grid_ny = opts.grid;
+  const ThermalConfig cfg = opts.thermal_config();
   const ChipletLayout layout = make_uniform_layout(4, 6.0, spec);  // 16c, 40mm
 
   TextTable t({"benchmark", "mean_activity", "steady_peak_c",
@@ -54,8 +53,9 @@ tacos::TextTable trace_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: phase-trace transient vs steady-state sizing",
-      [&] { return trace_table(opts); });
+      [&] { return trace_table(harness.options()); });
 }

@@ -43,8 +43,9 @@ tacos::TextTable reliability_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: lifetime benefit at the 2D operating point",
-      [&] { return reliability_table(opts); });
+      [&] { return reliability_table(harness.options()); });
 }

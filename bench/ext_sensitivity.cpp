@@ -60,8 +60,9 @@ tacos::TextTable sensitivity_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: calibration sensitivity of the iso-cost improvement",
-      [&] { return sensitivity_table(opts); });
+      [&] { return sensitivity_table(harness.options()); });
 }

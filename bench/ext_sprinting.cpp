@@ -20,8 +20,7 @@ tacos::TextTable sprint_table(const tacos::ExperimentOptions& opts) {
   std::vector<int> all(256);
   for (int i = 0; i < 256; ++i) all[static_cast<std::size_t>(i)] = i;
 
-  ThermalConfig cfg;
-  cfg.grid_nx = cfg.grid_ny = opts.grid;
+  const ThermalConfig cfg = opts.thermal_config();
 
   struct Config {
     std::string name;
@@ -65,8 +64,9 @@ tacos::TextTable sprint_table(const tacos::ExperimentOptions& opts) {
 int main(int argc, char** argv) {
   tacos::ExperimentOptions defaults;
   defaults.grid = 24;
-  const auto opts = tacos::benchmain::options_from_args(argc, argv, defaults);
+  const tacos::benchmain::Harness harness(argc, argv,
+                                          tacos::entry::kSolveFlags, defaults);
   return tacos::benchmain::run(
       "Extension: computational sprinting across organizations",
-      [&] { return sprint_table(opts); });
+      [&] { return sprint_table(harness.options()); });
 }

@@ -4,7 +4,7 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  tacos::benchmain::options_from_args(argc, argv);  // obs flags only
+  tacos::benchmain::Harness harness(argc, argv, tacos::entry::kObsFlags);
   return tacos::benchmain::run("Fig. 3(a): 2.5D cost vs interposer size",
                                [] { return tacos::fig3a_cost_table(1.0); });
 }

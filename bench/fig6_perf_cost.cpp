@@ -4,7 +4,7 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  tacos::benchmain::Harness harness(argc, argv);
+  tacos::benchmain::Harness harness(argc, argv, tacos::entry::kJournalFlags);
   const auto& opts = harness.options();
   std::vector<std::string> reps;
   for (auto name : tacos::representative_benchmarks())

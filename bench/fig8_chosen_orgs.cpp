@@ -4,7 +4,8 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  tacos::benchmain::Harness harness(argc, argv);
+  using namespace tacos::entry;
+  tacos::benchmain::Harness harness(argc, argv, kJournalFlags | kRefineFlags);
   const auto& opts = harness.options();
   tacos::RunHealth health;
   const int rc = tacos::benchmain::run(

@@ -40,6 +40,7 @@
 #include "common/atomic_file.hpp"
 #include "common/thread_pool.hpp"
 #include "core/optimizer.hpp"
+#include "entry/run_options.hpp"
 #include "floorplan/layout.hpp"
 #include "materials/stack.hpp"
 #include "obs/merge.hpp"
@@ -397,26 +398,25 @@ std::string json_map(const std::vector<std::size_t>& keys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::ObsOptions obs_opts;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (obs_opts.parse_flag(arg)) continue;
-    if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown flag: " << arg << "\nusage: " << argv[0]
-                << " [out.json] [e2e_grid] [solver_grid]"
-                << obs::ObsOptions::usage() << "\n";
-      return 1;
-    }
-    pos.push_back(arg);
+  static constexpr const char* kPositionals =
+      "[out.json] [e2e_grid] [solver_grid]";
+  entry::RunOptions opts;
+  const std::vector<std::string> pos =
+      entry::parse_args(argc, argv, entry::kObsFlags, kPositionals, opts);
+  std::size_t e2e_grid = 24, solver_grid = 48;
+  try {
+    if (pos.size() > 3)
+      throw entry::UsageError("unexpected argument: " + pos[3]);
+    if (pos.size() > 1)
+      e2e_grid = entry::positional<std::size_t>(pos[1], "e2e_grid", 1);
+    if (pos.size() > 2)
+      solver_grid = entry::positional<std::size_t>(pos[2], "solver_grid", 1);
+  } catch (const entry::UsageError& e) {
+    entry::exit_usage(e.what(), argv[0], entry::kObsFlags, kPositionals);
   }
-  obs_opts.finalize();
+  opts.obs.finalize();
   const std::string out_path =
       !pos.empty() ? pos[0] : "BENCH_eval_engine.json";
-  const std::size_t e2e_grid =
-      pos.size() > 1 ? static_cast<std::size_t>(std::stoul(pos[1])) : 24;
-  const std::size_t solver_grid =
-      pos.size() > 2 ? static_cast<std::size_t>(std::stoul(pos[2])) : 48;
 
   const std::size_t hw = ThreadPool::default_thread_count();
   // Always measure 1 and 2; top out at the machine (or TACOS_THREADS),
@@ -529,7 +529,6 @@ int main(int argc, char** argv) {
      << "    \"screened\": " << lab.ladder_stats.ladder.screened << ",\n"
      << "    \"rejected\": " << lab.ladder_stats.ladder.rejected << ",\n"
      << "    \"promoted\": " << lab.ladder_stats.ladder.promoted << ",\n"
-     << "    \"audits\": " << lab.ladder_stats.ladder.audits << ",\n"
      << "    \"medium_solves\": " << lab.ladder_stats.ladder.medium_solves
      << ",\n"
      << "    \"rungs\": {\"medium\": {\"wall_s\": "
@@ -607,7 +606,7 @@ int main(int argc, char** argv) {
             << "wrote " << out_path << "\n";
   std::cerr << "[micro_eval_engine] " << health.summary() << "\n";
   obs::record_run_health(health);
-  if (obs_opts.any()) obs_opts.publish();
+  if (opts.obs.any()) opts.obs.publish();
   return (solver_identical && e2e_identical && ab.temps_match &&
           lab.winner_match && lab.bit_identical && rab.never_worse &&
           tel.deterministic)

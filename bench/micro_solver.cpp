@@ -14,7 +14,7 @@
 
 #include "common/errors.hpp"
 #include "core/leakage.hpp"
-#include "obs/obs.hpp"
+#include "entry/run_options.hpp"
 #include "floorplan/layout.hpp"
 #include "materials/stack.hpp"
 #include "perf/phases.hpp"
@@ -238,44 +238,29 @@ int run_selftest(std::size_t grid) {
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN: the observability flags (--metrics[=FILE],
-// --trace[=FILE]) plus --precond= and --selftest[=GRID] are stripped
-// before google-benchmark sees argv, and the artifacts are published
-// after the run — so the solver microbenchmarks can be profiled with the
-// same flags as every other bench main.
+// Expanded BENCHMARK_MAIN: our flags are parsed here and only
+// `--benchmark_*` reaches google-benchmark; the --metrics/--trace
+// artifacts are published after the run, as in every other bench main.
 int main(int argc, char** argv) {
-  tacos::obs::ObsOptions obs_opts;
-  bool selftest = false;
-  std::size_t selftest_grid = 64;
-  std::vector<char*> kept;
-  kept.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--precond=", 0) == 0) {
-      if (!tacos::parse_precond_name(arg.substr(10), &g_precond)) {
-        std::fprintf(stderr, "bad --precond value (want auto|jacobi|mg)\n");
-        return 1;
-      }
-    } else if (arg == "--selftest") {
-      selftest = true;
-    } else if (arg.rfind("--selftest=", 0) == 0) {
-      selftest = true;
-      selftest_grid = std::stoul(arg.substr(11));
-    } else if (!obs_opts.parse_flag(argv[i])) {
-      kept.push_back(argv[i]);
-    }
-  }
-  obs_opts.finalize();
-  if (selftest) {
-    const int rc = run_selftest(selftest_grid);
-    if (obs_opts.any()) obs_opts.publish();
+  using namespace tacos::entry;
+  RunOptions opts;
+  std::vector<std::string> rest =
+      parse_args(argc, argv, kSolveFlags | kSelftest,
+                 "[--benchmark_...]", opts, false, "--benchmark_");
+  g_precond = opts.experiment.precond;
+  opts.obs.finalize();
+  if (opts.selftest) {
+    const int rc = run_selftest(*opts.selftest);
+    if (opts.obs.any()) opts.obs.publish();
     return rc;
   }
+  std::vector<char*> kept{argv[0]};
+  for (std::string& arg : rest) kept.push_back(arg.data());
   int kept_argc = static_cast<int>(kept.size());
   benchmark::Initialize(&kept_argc, kept.data());
   if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (obs_opts.any()) obs_opts.publish();
+  if (opts.obs.any()) opts.obs.publish();
   return 0;
 }

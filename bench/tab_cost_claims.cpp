@@ -4,7 +4,7 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  tacos::benchmain::options_from_args(argc, argv);  // obs flags only
+  tacos::benchmain::Harness harness(argc, argv, tacos::entry::kObsFlags);
   return tacos::benchmain::run("In-text cost claims (paper vs model)",
                                [] { return tacos::cost_claims_table(); });
 }

@@ -9,7 +9,9 @@ int main(int argc, char** argv) {
   defaults.grid = 24;
   defaults.opt_step_mm = 2.0;
   defaults.w_step_mm = 2.0;
-  tacos::benchmain::Harness harness(argc, argv, defaults);
+  using namespace tacos::entry;
+  tacos::benchmain::Harness harness(argc, argv, kJournalFlags | kRefineFlags,
+                                    defaults);
   const auto& opts = harness.options();
   tacos::RunHealth health;
   const int rc = tacos::benchmain::run(

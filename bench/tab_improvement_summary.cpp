@@ -5,7 +5,7 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  tacos::benchmain::Harness harness(argc, argv);
+  tacos::benchmain::Harness harness(argc, argv, tacos::entry::kJournalFlags);
   const auto& opts = harness.options();
   tacos::RunHealth h_impr, h_iso;
   int rc = tacos::benchmain::run(

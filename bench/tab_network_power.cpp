@@ -5,7 +5,7 @@
 #include "bench_main.hpp"
 
 int main(int argc, char** argv) {
-  const auto opts = tacos::benchmain::options_from_args(argc, argv);
+  tacos::benchmain::Harness harness(argc, argv, tacos::entry::kObsFlags);
   return tacos::benchmain::run("Electrical mesh network power",
-                               [&] { return tacos::network_power_table(opts); });
+                               [] { return tacos::network_power_table(); });
 }

@@ -27,29 +27,4 @@ struct BackoffPolicy {
   }
 };
 
-/// Counting wrapper: next() returns the delay for the current attempt and
-/// advances; reset() rewinds after a success so the next failure starts
-/// from `base_ms` again.
-class Backoff {
- public:
-  explicit Backoff(BackoffPolicy policy) : policy_(policy) {}
-  Backoff(std::uint64_t base_ms, std::uint64_t max_ms)
-      : policy_{base_ms, max_ms} {}
-
-  /// Delay before the upcoming retry; advances the attempt counter.
-  std::uint64_t next_ms() { return policy_.delay_ms(attempt_++); }
-
-  /// Attempts consumed since construction or the last reset().
-  std::uint64_t attempts() const { return attempt_; }
-
-  /// Success observed: the next failure backs off from base_ms again.
-  void reset() { attempt_ = 0; }
-
-  const BackoffPolicy& policy() const { return policy_; }
-
- private:
-  BackoffPolicy policy_;
-  std::uint64_t attempt_ = 0;
-};
-
 }  // namespace tacos

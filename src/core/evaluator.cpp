@@ -411,16 +411,6 @@ bool Evaluator::medium_available() {
   return medium_thermal_.has_value();
 }
 
-bool Evaluator::audit_due() {
-  ++confident_rejects_;
-  const double f = config_.ladder.keep_frac;
-  return f > 0.0 &&
-         static_cast<std::size_t>(static_cast<double>(confident_rejects_) *
-                                  f) >
-             static_cast<std::size_t>(
-                 static_cast<double>(confident_rejects_ - 1) * f);
-}
-
 std::optional<double> Evaluator::medium_estimate(const EvalKey& key,
                                                  const Organization& org,
                                                  const BenchmarkProfile& bench,
@@ -467,18 +457,12 @@ bool Evaluator::screen_infeasible(const Organization& org,
 
   ++ladder_stats_.screened;
   // Full leakage fixed point on a half-resolution model (separate cache
-  // and ledger; never ticks the full path's solve clock).  A confident
-  // reject is subject to the keep-frac audit, which promotes a
-  // deterministic fraction of rejects anyway so the calibration bounds
-  // keep being tested against full results.
+  // and ledger; never ticks the full path's solve clock).
   bool fresh = false;
   if (const auto est = medium_estimate(key, org, bench, &fresh);
       est && rung_verdict(key, *est, reject_above_c)) {
-    if (!audit_due()) {
-      ++ladder_stats_.rejected;
-      return true;
-    }
-    ++ladder_stats_.audits;
+    ++ladder_stats_.rejected;
+    return true;
   }
   ++ladder_stats_.promoted;
   return false;
@@ -539,11 +523,6 @@ Evaluator::WalkEval Evaluator::walk_eval(const Organization& org,
       *est + b.min_resid - sm > prune_above_c ||
       *est + b.max_resid + sm <= prune_above_c;
   if (!infeasible_sure || !prune_sure) return promote();
-  if (audit_due()) {
-    ++ladder_stats_.audits;
-    if (fresh) ++ladder_stats_.promoted;
-    return exact_of();
-  }
   if (fresh) ++ladder_stats_.rejected;
   // Bias-corrected estimate for peak ordering; the band is the residual
   // half-spread, reported so callers (and tests) can see how tight the

@@ -65,9 +65,6 @@ std::optional<FidelityMode> parse_fidelity_mode(std::string_view s);
 /// everything — bit-identical to kFull.
 struct LadderOptions {
   FidelityMode mode = FidelityMode::kFull;
-  /// Fraction of confident rejects promoted anyway (deterministic integer
-  /// schedule, no RNG) as a continuing audit of the calibration bounds.
-  double keep_frac = 0.0;
   /// (estimate, full-result) pairs required per (bench, n) before the
   /// medium rung's estimates may reject.
   int min_calibration = 5;
@@ -85,13 +82,11 @@ struct LadderOptions {
 
 /// Mergeable fidelity-ladder counters (EvalStats::ladder; journal line
 /// "ladder").  screened = candidates entering the ladder; each one ends
-/// as exactly one of rejected / promoted (audited rejects count as
-/// promoted, plus audits).
+/// as exactly one of rejected / promoted.
 struct LadderStats {
   std::size_t screened = 0;         ///< candidates entering the ladder
   std::size_t rejected = 0;         ///< screened out (no full evaluation)
   std::size_t promoted = 0;         ///< passed through to the full path
-  std::size_t audits = 0;           ///< keep-frac audits (subset of promoted)
   std::size_t medium_solves = 0;    ///< medium-grid solves
   std::size_t medium_failures = 0;  ///< medium-rung failures (promoted past)
   /// Counters of the retired surrogate and coarse-solve rungs: always
@@ -106,7 +101,6 @@ struct LadderStats {
     screened += o.screened;
     rejected += o.rejected;
     promoted += o.promoted;
-    audits += o.audits;
     medium_solves += o.medium_solves;
     medium_failures += o.medium_failures;
     return *this;
@@ -426,9 +420,6 @@ class Evaluator {
                                         const Organization& org,
                                         const BenchmarkProfile& bench,
                                         bool* fresh);
-  /// Deterministic keep-frac audit schedule: true when this confident
-  /// reject is the one in 1/keep_frac that must be promoted anyway.
-  bool audit_due();
   /// Close out the pending medium-rung estimate of a completed full
   /// evaluation: a converged result calibrates the residual bounds
   /// (called from thermal_eval).
@@ -472,8 +463,6 @@ class Evaluator {
   /// Memoized medium-rung estimates (mirrors eval_memo_ for the medium
   /// grid).
   std::map<EvalKey, double> medium_memo_;
-  /// Confident-reject counter driving the deterministic keep-frac audit.
-  std::size_t confident_rejects_ = 0;
   /// Medium-grid models: separate LRU and ledger so screening solves
   /// never tick the full path's solve clock or health counters (the
   /// ledger's solve index is the clock FaultPlan::screen_fail_* targets).

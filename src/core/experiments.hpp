@@ -39,13 +39,20 @@ struct ExperimentOptions {
   /// deadline); all off by default.  See docs/ROBUSTNESS.md.
   RunControl run;
 
-  /// Evaluator configuration implied by these options.  `cancel`, when
-  /// given, is polled by the solvers (per-task deadline / interrupt hook).
+  /// Thermal-model configuration implied by these options: the grid and
+  /// the preconditioner.  `cancel`, when given, is polled by the solvers
+  /// (per-task deadline / interrupt hook).
+  ThermalConfig thermal_config(const CancelToken* cancel = nullptr) const {
+    ThermalConfig c;
+    c.grid_nx = c.grid_ny = grid;
+    c.solve.cancel = cancel;
+    c.solve.precond = precond;
+    return c;
+  }
+  /// Evaluator configuration implied by these options.
   EvalConfig eval_config(const CancelToken* cancel = nullptr) const {
     EvalConfig c;
-    c.thermal.grid_nx = c.thermal.grid_ny = grid;
-    c.thermal.solve.cancel = cancel;
-    c.thermal.solve.precond = precond;
+    c.thermal = thermal_config(cancel);
     return c;
   }
   /// Optimizer options implied by these options.

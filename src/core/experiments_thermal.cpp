@@ -38,8 +38,6 @@ TextTable fig3b_thermal_table(const ExperimentOptions& opts,
                               RunHealth* health) {
   const SystemSpec spec;
   const double chip_area = spec.chip_edge_mm() * spec.chip_edge_mm();
-  ThermalConfig cfg;
-  cfg.grid_nx = cfg.grid_ny = opts.grid;
 
   TextTable t({"series", "interposer_mm", "power_density_w_mm2", "peak_c"});
   const std::vector<double> densities = {0.5, 1.0, 1.5, 2.0};
@@ -62,8 +60,7 @@ TextTable fig3b_thermal_table(const ExperimentOptions& opts,
         GuardedRows out;
         SolveLedger led;  // one fault/health clock per series task
         const std::string label = series_label(r);
-        ThermalConfig task_cfg = cfg;
-        task_cfg.solve.cancel = cancel;
+        const ThermalConfig task_cfg = opts.thermal_config(cancel);
         try {
           for (double w = 20.0; w <= spec.max_interposer_mm + 1e-9;
                w += 1.0) {
@@ -101,8 +98,6 @@ TextTable fig3b_thermal_table(const ExperimentOptions& opts,
 TextTable fig5_spacing_table(const ExperimentOptions& opts,
                              RunHealth* health) {
   const SystemSpec spec;
-  ThermalConfig cfg;
-  cfg.grid_nx = cfg.grid_ny = opts.grid;
   const PowerModelParams pm;
   const DvfsLevel& nominal = kDvfsLevels[0];
   std::vector<int> all_cores(static_cast<std::size_t>(spec.core_count()));
@@ -122,8 +117,7 @@ TextTable fig5_spacing_table(const ExperimentOptions& opts,
       [&](const std::string& name, const CancelToken* cancel) {
         GuardedRows out;
         SolveLedger led;  // one fault/health clock per benchmark task
-        ThermalConfig task_cfg = cfg;
-        task_cfg.solve.cancel = cancel;
+        const ThermalConfig task_cfg = opts.thermal_config(cancel);
         try {
           const BenchmarkProfile& bench = benchmark_by_name(name);
           const auto note_leak = [&led](const LeakageResult& lr) {

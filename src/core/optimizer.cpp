@@ -389,8 +389,9 @@ std::string batch_meta(const EvalConfig& config,
     << " max_moves=" << opts.max_moves << " seed=" << opts.seed
     << " prune=" << fmt_g17(opts.prune_margin_c)
     << " fidelity=" << fidelity_mode_name(config.ladder.mode)
-    << " keep_frac=" << fmt_g17(config.ladder.keep_frac)
-    << " min_calib=" << config.ladder.min_calibration
+    // The retired keep-frac audit fraction: always 0, kept so journals
+    // written while the audit existed still bind.
+    << " keep_frac=0 min_calib=" << config.ladder.min_calibration
     << " ladder_margin=" << fmt_g17(config.ladder.safety_margin_c);
   // Refinement knobs enter the fingerprint only when the stage is on, so
   // journals of non-refined sweeps stay byte-identical to prior releases.
@@ -439,14 +440,15 @@ std::string encode_opt_result(const OptResult& result,
   // Rung metadata travels with the row so a resumed ladder sweep replays
   // its screening counters identically.  Emitted only when the ladder ran:
   // full-mode payloads stay byte-identical to earlier releases, and older
-  // decoders skip the unknown key.  Fields 5-8 held the counters of the
-  // retired surrogate and coarse-solve rungs; they stay in the layout as
-  // zeros so every build decodes every row.
+  // decoders skip the unknown key.  Field 4 held the retired keep-frac
+  // audit count and fields 5-8 the counters of the retired surrogate and
+  // coarse-solve rungs; they stay in the layout as zeros so every build
+  // decodes every row.
   const LadderStats& l = stats.ladder;
   if (l.any())
     os << "ladder " << l.screened << ' ' << l.rejected << ' ' << l.promoted
-       << ' ' << l.audits << " 0 0 0 0 " << l.medium_solves << ' '
-       << l.medium_failures << '\n';
+       << " 0 0 0 0 0 " << l.medium_solves << ' ' << l.medium_failures
+       << '\n';
   const RefineStats& r = stats.refine;
   if (r.any())
     os << "refine " << r.attempted << ' ' << r.steps << ' ' << r.trials
@@ -521,9 +523,9 @@ bool decode_opt_result(const std::string& payload, OptResult* result,
       saw_health = true;
     } else if (key == "ladder") {
       LadderStats& l = stats->ladder;
-      std::size_t retired[4];  // surrogate/coarse counters: read, dropped
-      if (!(ls >> l.screened >> l.rejected >> l.promoted >> l.audits >>
-            retired[0] >> retired[1] >> retired[2] >> retired[3] >>
+      std::size_t retired[5];  // audit/surrogate/coarse: read, dropped
+      if (!(ls >> l.screened >> l.rejected >> l.promoted >> retired[0] >>
+            retired[1] >> retired[2] >> retired[3] >> retired[4] >>
             l.medium_solves >> l.medium_failures))
         return false;
     } else if (key == "refined") {

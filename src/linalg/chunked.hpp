@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -107,38 +106,6 @@ inline void residual_rows(const CsrMatrix& A, const std::vector<double>& x,
     double acc = 0.0;
     for (std::size_t k = b; k < e; ++k) acc += va[k] * xv[ci[k]];
     out[i] = r[i] - acc;
-  }
-}
-
-/// Single-precision CSR slice for the mixed-precision multigrid smoother:
-/// float values and 32-bit column indices halve the memory traffic of a
-/// smoothing sweep (the smoother only needs a rough error reduction; the
-/// V-cycle's residuals and corrections stay double).
-struct CsrF32 {
-  std::vector<std::uint32_t> col_idx;
-  std::vector<float> values;
-  explicit CsrF32(const CsrMatrix& A) {
-    col_idx.reserve(A.nnz());
-    values.reserve(A.nnz());
-    for (std::size_t c : A.col_idx())
-      col_idx.push_back(static_cast<std::uint32_t>(c));
-    for (double v : A.values()) values.push_back(static_cast<float>(v));
-  }
-};
-
-/// Float SpMV row range over the f32 mirror (row_ptr shared with `A`).
-inline void spmv_rows_f32(const CsrMatrix& A, const CsrF32& Af,
-                          const std::vector<float>& x, std::vector<float>& y,
-                          std::size_t lo, std::size_t hi) {
-  const std::size_t* const rp = A.row_ptr().data();
-  const std::uint32_t* const ci = Af.col_idx.data();
-  const float* const va = Af.values.data();
-  const float* const xv = x.data();
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::size_t b = rp[i], e = rp[i + 1];
-    float acc = 0.0f;
-    for (std::size_t k = b; k < e; ++k) acc += va[k] * xv[ci[k]];
-    y[i] = acc;
   }
 }
 

@@ -29,10 +29,6 @@ struct MultigridPreconditioner::Level {
   std::vector<double> inv_pivot, mult;
   std::vector<std::size_t> agg;
   std::vector<double> z, tmp, rbuf;
-  // Mixed-precision smoother state (empty unless opts.mixed_precision):
-  // an f32 mirror of A plus float workspaces for the smoother's A·z.
-  std::unique_ptr<CsrF32> Af;
-  std::vector<float> zf, tmpf;
 };
 
 namespace {
@@ -114,6 +110,17 @@ void column_solve(std::size_t lo, std::size_t hi, std::size_t ncell,
       update(i);
     }
   }
+}
+
+/// out = r − A z over every row, in fixed chunks: the one residual pass of
+/// smooth() and vcycle().  Inlined into smooth() instead, GCC 12 spilled
+/// registers in the gather loop and transient steps ran ~7 % slower.
+void residual(const CsrMatrix& A, const std::vector<double>& z,
+              const std::vector<double>& r, std::vector<double>& out,
+              ThreadPool* pool) {
+  for_chunks(A.rows(), pool, [&](std::size_t lo, std::size_t hi) {
+    residual_rows(A, z, r, out, lo, hi);
+  });
 }
 
 }  // namespace
@@ -199,11 +206,6 @@ MultigridPreconditioner::MultigridPreconditioner(const CsrMatrix& A,
     lv.rbuf.assign(n, 0.0);
     if (l + 1 == levels_.size()) continue;
     factor_columns(*lv.A, lv.nx * lv.ny, layers_, l, lv.inv_pivot, lv.mult);
-    if (opts_.mixed_precision) {
-      lv.Af = std::make_unique<CsrF32>(*lv.A);
-      lv.zf.assign(n, 0.0f);
-      lv.tmpf.assign(n, 0.0f);
-    }
   }
 
   // Coarsest level: dense Cholesky, factored once.  The loop above only
@@ -283,14 +285,6 @@ void MultigridPreconditioner::line_solve(Level& lv,
 /// z is logically zero the first sweep skips the residual.  Each later
 /// sweep is a row-chunked residual pass and a column-chunked solve with a
 /// barrier between them (the residual reads neighbouring columns of z).
-///
-/// Mixed precision (opts.mixed_precision): the A·z of the residual — the
-/// memory-bound part of a sweep — runs on the f32 mirror (float values,
-/// 32-bit columns, float iterate copy), while z, the residual and the
-/// column solves stay double.  The smoother only steers the V-cycle's
-/// error reduction, so solution accuracy is governed by the outer PCG
-/// tolerance either way; the float path stays bit-identical across thread
-/// counts because every float op is row-local inside fixed chunks.
 void MultigridPreconditioner::smooth(Level& lv, const std::vector<double>& r,
                                      std::vector<double>& z,
                                      std::size_t sweeps, bool z_is_zero) {
@@ -301,23 +295,8 @@ void MultigridPreconditioner::smooth(Level& lv, const std::vector<double>& r,
     line_solve(lv, r, z, /*z_is_zero=*/true);
     s = 1;
   }
-  const bool mixed = opts_.mixed_precision && lv.Af != nullptr;
   for (; s < sweeps; ++s) {
-    if (mixed) {
-      for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          lv.zf[i] = static_cast<float>(z[i]);
-      });
-      for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-        spmv_rows_f32(*lv.A, *lv.Af, lv.zf, lv.tmpf, lo, hi);
-        for (std::size_t i = lo; i < hi; ++i)
-          lv.tmp[i] = r[i] - static_cast<double>(lv.tmpf[i]);
-      });
-    } else {
-      for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-        residual_rows(*lv.A, z, r, lv.tmp, lo, hi);
-      });
-    }
+    residual(*lv.A, z, r, lv.tmp, pool);
     line_solve(lv, lv.tmp, z, /*z_is_zero=*/false);
   }
 }
@@ -359,13 +338,9 @@ void MultigridPreconditioner::vcycle(std::size_t l,
 
   smooth(lv, r, z, opts_.pre_sweeps, /*z_is_zero=*/true);
 
-  // Residual tmp = r - A z (fused kernel, always double: the coarse-grid
-  // correction hinges on an accurate residual), then restrict into the
-  // next level's rbuf.
+  // Residual tmp = r - A z, then restrict into the next level's rbuf.
   ThreadPool* const pool = chunk_pool(n);
-  for_chunks(n, pool, [&](std::size_t lo, std::size_t hi) {
-    residual_rows(*lv.A, z, r, lv.tmp, lo, hi);
-  });
+  residual(*lv.A, z, r, lv.tmp, pool);
   Level& cv = levels_[l + 1];
   // Restriction is a scatter-add over aggregates; parallelizing it would
   // race, so it stays serial (coarse vectors are small).

@@ -71,17 +71,6 @@ struct MultigridOptions {
   std::size_t pre_sweeps = 1;   ///< line-smoother sweeps before descent
   std::size_t post_sweeps = 1;  ///< must equal pre_sweeps for symmetry
   double omega = 0.8;           ///< smoother damping (< 1 for SPD safety)
-  /// Compute the smoother's A·z in single precision (float matrix values,
-  /// 32-bit column indices) while the column solves, residuals,
-  /// restriction, prolongation and the coarse direct solve stay double.
-  /// The smoother only needs a rough error reduction, so the outer PCG
-  /// tolerance — and therefore the solution accuracy — is unaffected; only
-  /// the iteration count may shift by ±1.  Results remain bit-identical
-  /// at any thread count (all float work is row-local and chunk-ordered)
-  /// but differ bitwise from the all-double cycle, so the flag defaults to
-  /// off and is excluded from the determinism tests (see
-  /// docs/PERFORMANCE.md).
-  bool mixed_precision = false;
 };
 
 /// Geometric multigrid V-cycle implementing solve_pcg's Preconditioner

@@ -120,14 +120,6 @@ struct SolveOptions {
   /// Preconditioner *selection* riding the config path (see PrecondKind).
   /// Resolved by ThermalModel, not by solve_pcg.
   PrecondKind precond = PrecondKind::kAuto;
-  /// Build the multigrid hierarchy with a single-precision A·z in its
-  /// smoothing sweeps (MultigridOptions::mixed_precision) — `--mg-mixed`
-  /// on the CLI.
-  /// Solution accuracy is still set by `rel_tolerance` (the outer PCG
-  /// runs in double); results stay bit-identical across thread counts but
-  /// differ bitwise from the all-double cycle, so the determinism tests
-  /// leave this off.  Consulted by ThermalModel, not by solve_pcg.
-  bool mg_mixed_precision = false;
   /// Externally-owned preconditioner instance for solve_pcg (nullptr =
   /// build a Jacobi preconditioner internally).  Not owned; must outlive
   /// the solve and match the matrix being solved — ThermalModel injects

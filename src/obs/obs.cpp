@@ -28,35 +28,6 @@ std::string join_dir(const std::string& dir, const char* file) {
 
 }  // namespace
 
-bool ObsOptions::parse_flag(const std::string& arg) {
-  if (arg == "--metrics") {
-    metrics = true;
-    return true;
-  }
-  if (arg.rfind("--metrics=", 0) == 0) {
-    metrics = true;
-    metrics_path = arg.substr(10);
-    return true;
-  }
-  if (arg == "--trace") {
-    trace = true;
-    return true;
-  }
-  if (arg.rfind("--trace=", 0) == 0) {
-    trace = true;
-    trace_path = arg.substr(8);
-    return true;
-  }
-  if (arg.rfind("--trace-ctx=", 0) == 0) {
-    // Internal (supervisor -> worker) flag; a malformed value is ignored
-    // rather than fatal — it only degrades trace attribution.
-    TraceContext ctx;
-    if (parse_trace_context(arg.substr(12), &ctx)) inherited_ctx = ctx;
-    return true;
-  }
-  return false;
-}
-
 void ObsOptions::finalize(const std::string& run_dir, bool resume) {
   if (!shard_suffix.empty()) {
     // A shard process writes its own per-process artifacts, full stop:

@@ -1,13 +1,11 @@
 #pragma once
 /// \file obs.hpp
-/// \brief Front door of the instrumentation layer: flag parsing, artifact
-///        publication, and RunHealth -> metrics bridging.
+/// \brief Front door of the instrumentation layer: artifact publication
+///        and RunHealth -> metrics bridging.
 ///
-/// Every entry point (tacos_cli and each bench main) owns one `ObsOptions`
-/// and feeds it its argv:
+/// Every entry point owns one `ObsOptions`, filled by its command line
+/// (src/entry/run_options.hpp):
 ///
-///   obs::ObsOptions obs;
-///   for (each arg) if (obs.parse_flag(arg)) continue;
 ///   obs.finalize(run_dir, resume);   // default paths, enable, preload
 ///   ... run ...
 ///   obs.publish();                   // AtomicFile into --run-dir
@@ -27,7 +25,7 @@
 
 namespace tacos::obs {
 
-/// Per-process observability configuration, parsed from the command line.
+/// Per-process observability configuration, set from the command line.
 struct ObsOptions {
   bool metrics = false;      ///< `--metrics` seen
   bool trace = false;        ///< `--trace` seen
@@ -48,12 +46,6 @@ struct ObsOptions {
   /// `--trace-ctx=<trace>:<span>` flag fabric supervisors pass to
   /// workers); applied as the process ambient context by finalize().
   TraceContext inherited_ctx;
-
-  /// Consume one argv token; returns false when the flag isn't ours.
-  bool parse_flag(const std::string& arg);
-
-  /// Usage fragment for --help text.
-  static const char* usage() { return " [--metrics[=FILE]] [--trace[=FILE]]"; }
 
   /// Resolve default paths (into `run_dir` when given), flip the global
   /// enable switches, and — when `resume` is set — preload the previous

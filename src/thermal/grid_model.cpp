@@ -509,9 +509,7 @@ MultigridPreconditioner* ThermalModel::multigrid_for(
     obs::TraceSpan span(build_site);
     const MultigridGeometry geom{grid_.nx(), grid_.ny(), n_layers_,
                                  A.rows() - n_grid_nodes_};
-    MultigridOptions mg_opts;
-    mg_opts.mixed_precision = config_.solve.mg_mixed_precision;
-    slot = std::make_unique<MultigridPreconditioner>(A, geom, mg_opts);
+    slot = std::make_unique<MultigridPreconditioner>(A, geom);
     span.arg("levels", static_cast<std::int64_t>(slot->level_count()));
     span.arg("rows", static_cast<std::int64_t>(A.rows()));
     span.arg("coarse_rows", static_cast<std::int64_t>(

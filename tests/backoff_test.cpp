@@ -31,25 +31,5 @@ TEST(BackoffPolicy, CapsForever) {
   EXPECT_EQ(p.delay_ms(std::uint64_t(1) << 40), 3'000u);
 }
 
-TEST(Backoff, CountsAndResets) {
-  Backoff b(BackoffPolicy{100, 1'000});
-  EXPECT_EQ(b.attempts(), 0u);
-  EXPECT_EQ(b.next_ms(), 100u);
-  EXPECT_EQ(b.next_ms(), 200u);
-  EXPECT_EQ(b.next_ms(), 400u);
-  EXPECT_EQ(b.attempts(), 3u);
-  b.reset();
-  EXPECT_EQ(b.attempts(), 0u);
-  EXPECT_EQ(b.next_ms(), 100u);  // a success rewinds to the base delay
-}
-
-TEST(Backoff, TwoArgConvenienceIsJitterless) {
-  Backoff b(150, 500);
-  EXPECT_EQ(b.next_ms(), 150u);
-  EXPECT_EQ(b.next_ms(), 300u);
-  EXPECT_EQ(b.next_ms(), 500u);
-  EXPECT_EQ(b.next_ms(), 500u);
-}
-
 }  // namespace
 }  // namespace tacos

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/experiments.hpp"
+#include "obs/metrics.hpp"
 
 namespace tacos {
 namespace {
@@ -48,6 +49,25 @@ TEST(Experiments, Fig3aCoversAllSeries) {
   // Normalized cost at the minimum interposer is < 1 for every D0.
   for (const auto& r : rows)
     if (r[0] == "20.0") EXPECT_LT(std::stod(r[4]), 1.0);
+}
+
+TEST(Experiments, PrecondReachesTheSpacingSweep) {
+  // --precond reaches every solve of the thermal runners: under Jacobi the
+  // Fig. 5 sweep builds no multigrid hierarchy, by default it does.
+  const auto mg_builds = [](const ExperimentOptions& o) {
+    obs::set_metrics_enabled(true);
+    obs::MetricsRegistry::global().reset_values();
+    fig5_spacing_table(o);
+    obs::set_metrics_enabled(false);
+    for (const auto& [name, v] :
+         obs::MetricsRegistry::global().snapshot().counters)
+      if (name == "span.thermal.mg.build.calls") return v;
+    return 0.0;
+  };
+  ExperimentOptions o = tiny();
+  EXPECT_GT(mg_builds(o), 0.0);
+  o.precond = PrecondKind::kJacobi;
+  EXPECT_EQ(mg_builds(o), 0.0);
 }
 
 TEST(Experiments, CostClaimsHasFiveRows) {

@@ -222,26 +222,33 @@ TEST(Ladder, JournalRoundTripsLadderStats) {
   s.ladder.screened = 10;
   s.ladder.rejected = 4;
   s.ladder.promoted = 6;
-  s.ladder.audits = 1;
   s.ladder.medium_solves = 40;
   s.ladder.medium_failures = 3;
 
   const std::string payload = encode_opt_result(r, s);
-  // Ten fields; the retired surrogate/coarse counters are written as 0.
-  EXPECT_NE(payload.find("\nladder 10 4 6 1 0 0 0 0 40 3\n"),
-            std::string::npos);
-  OptResult r2;
-  EvalStats s2;
-  ASSERT_TRUE(decode_opt_result(payload, &r2, &s2));
-  EXPECT_EQ(r2.org.spacing.s1, r.org.spacing.s1);
-  EXPECT_EQ(r2.org.spacing.s3, r.org.spacing.s3);
-  EXPECT_EQ(r2.objective, r.objective);
-  EXPECT_EQ(s2.ladder.screened, s.ladder.screened);
-  EXPECT_EQ(s2.ladder.rejected, s.ladder.rejected);
-  EXPECT_EQ(s2.ladder.promoted, s.ladder.promoted);
-  EXPECT_EQ(s2.ladder.audits, s.ladder.audits);
-  EXPECT_EQ(s2.ladder.medium_solves, s.ladder.medium_solves);
-  EXPECT_EQ(s2.ladder.medium_failures, s.ladder.medium_failures);
+  // Ten fields; the retired audit slot and surrogate/coarse counters are
+  // written as 0.
+  const std::string line = "\nladder 10 4 6 0 0 0 0 0 40 3\n";
+  const std::size_t at = payload.find(line);
+  ASSERT_NE(at, std::string::npos);
+  // A row written while the keep-frac audit existed carries a count in
+  // the retired slot; decoding ignores it.
+  std::string audited = payload;
+  audited.replace(at, line.size(), "\nladder 10 4 6 1 0 0 0 0 40 3\n");
+  for (const std::string& p : {payload, audited}) {
+    OptResult r2;
+    EvalStats s2;
+    ASSERT_TRUE(decode_opt_result(p, &r2, &s2));
+    EXPECT_EQ(r2.org.spacing.s1, r.org.spacing.s1);
+    EXPECT_EQ(r2.org.spacing.s3, r.org.spacing.s3);
+    EXPECT_EQ(r2.objective, r.objective);
+    EXPECT_EQ(s2.ladder.screened, s.ladder.screened);
+    EXPECT_EQ(s2.ladder.rejected, s.ladder.rejected);
+    EXPECT_EQ(s2.ladder.promoted, s.ladder.promoted);
+    EXPECT_EQ(s2.ladder.medium_solves, s.ladder.medium_solves);
+    EXPECT_EQ(s2.ladder.medium_failures, s.ladder.medium_failures);
+    EXPECT_EQ(encode_opt_result(r2, s2), payload);
+  }
 }
 
 TEST(Ladder, ResumesJournalWrittenWithRetiredRungs) {
@@ -298,34 +305,6 @@ TEST(Ladder, PreLadderJournalRowsDecodeWithZeroStats) {
   ASSERT_TRUE(decode_opt_result(payload, &r2, &s2));
   EXPECT_FALSE(s2.ladder.any());
   EXPECT_EQ(s2.solves, 7u);
-}
-
-// --- Mixed-precision multigrid smoothing. --------------------------------
-
-TEST(Ladder, MixedPrecisionMgMatchesDoubleSolve) {
-  const ChipletLayout layout = make_uniform_layout(4, 4.0);
-  const LayerStack stack = make_25d_stack();
-  PowerMap power;
-  for (const auto& c : layout.chiplets()) power.add(c.rect, 300.0 / 16.0);
-
-  std::vector<double> temps[2];
-  for (int k = 0; k < 2; ++k) {
-    ThermalConfig cfg;
-    cfg.grid_nx = cfg.grid_ny = 48;
-    cfg.solve.precond = PrecondKind::kMultigrid;
-    cfg.solve.mg_mixed_precision = k == 1;
-    ThermalModel model(layout, stack, cfg);
-    model.solve(power);
-    temps[k] = model.tile_temperatures();
-    EXPECT_EQ(model.health().solve_failures, 0u);
-  }
-  ASSERT_EQ(temps[0].size(), temps[1].size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < temps[0].size(); ++i)
-    max_diff = std::max(max_diff, std::abs(temps[0][i] - temps[1][i]));
-  // The float smoother changes the preconditioner, not the answer: PCG
-  // still converges in double to the same tolerance.
-  EXPECT_LT(max_diff, 1e-4);
 }
 
 }  // namespace

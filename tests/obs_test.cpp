@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "entry/run_options.hpp"
 #include "obs/obs.hpp"
 
 namespace tacos {
@@ -680,20 +681,25 @@ TEST(ObsPool, PoolPublishesUtilizationMetrics) {
 
 TEST(ObsOptions, ParsesFlagsAndPublishesArtifacts) {
   ObsGuard restore(false, false);  // dtor restores "off" after finalize()
-  obs::ObsOptions o;
-  EXPECT_FALSE(o.parse_flag("--frobnicate"));
-  EXPECT_FALSE(o.parse_flag("12"));
-  EXPECT_TRUE(o.parse_flag("--metrics"));
-  EXPECT_TRUE(o.parse_flag("--trace=/explicit/trace.json"));
+  // The flag table (src/entry/run_options.hpp) fills the options.
+  using entry::apply_flag;
+  using entry::kObsFlags;
+  entry::RunOptions ro;
+  EXPECT_THROW(apply_flag("--frobnicate", kObsFlags, ro), entry::UsageError);
+  EXPECT_THROW(apply_flag("12", kObsFlags, ro), entry::UsageError);
+  apply_flag("--metrics", kObsFlags, ro);
+  apply_flag("--trace=/explicit/trace.json", kObsFlags, ro);
+  const obs::ObsOptions& o = ro.obs;
   EXPECT_TRUE(o.metrics);
   EXPECT_TRUE(o.trace);
   EXPECT_EQ(o.trace_path, "/explicit/trace.json");
   EXPECT_TRUE(o.metrics_path.empty());
 
   // Defaults resolve into the run dir, next to the journal.
-  obs::ObsOptions p;
-  EXPECT_TRUE(p.parse_flag("--metrics"));
-  EXPECT_TRUE(p.parse_flag("--trace"));
+  entry::RunOptions rp;
+  apply_flag("--metrics", kObsFlags, rp);
+  apply_flag("--trace", kObsFlags, rp);
+  obs::ObsOptions& p = rp.obs;
   const std::string dir = ::testing::TempDir();
   p.finalize(dir, /*resume=*/false);
   EXPECT_TRUE(obs::metrics_enabled());

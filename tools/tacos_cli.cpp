@@ -1,28 +1,8 @@
 /// \file tacos_cli.cpp
 /// \brief Command-line front end for the tacos library.
 ///
-/// Subcommands:
-///   list                                  — benchmarks and DVFS levels
-///   evaluate  <bench> <n> <s1> <s2> <s3> <f_idx> <p>
-///                                         — one organization end to end
-///   baseline  <bench> [threshold]         — best 2D operating point
-///   optimize  <bench> [alpha] [beta] [threshold]
-///                                         — multi-start greedy (§III-D)
-///   sweep     <bench> <n> [threshold]     — max IPS vs interposer size
-///   cost      <n> <interposer_mm>         — Eq. (4) breakdown
-///   batch     [alpha] [beta] [threshold] [grid] [step]
-///                                         — optimize every benchmark
-///                                           (durable: --run-dir/--resume;
-///                                           multi-process: --workers=N)
-///   trace-merge [run-dir]                 — merge per-process telemetry
-///                                           shards into trace-merged.json
-///                                           / metrics-merged.json
-///   status [run-dir]                      — live run-status view: sweep
-///                                           progress, worker leases,
-///                                           merged health counters
-///   fsck      [--fix]                     — validate (and optionally
-///                                           repair) --run-dir's durable
-///                                           files; exit 65 on damage
+/// The subcommands are listed, with their arguments, in kCommands below
+/// and in the usage text.
 ///
 /// Every command prints plain text.  Exit-code discipline (see
 /// src/common/errors.hpp): 0 success, 1 usage error, 2 generic
@@ -32,21 +12,9 @@
 /// structured stderr line:
 ///   tacos-error kind=<class> code=<n>: <message>
 ///
-/// Global options:
-///   --threads=N          size of the evaluation thread pool
-///   --fault-pcg-every=N  force PCG failure on every Nth solve (testing)
-///   --fault-pcg-rungs=K  ladder rungs the fault survives (1..4, default 1)
-///   --run-dir=DIR        journal completed batch tasks under DIR
-///   --resume             replay DIR's journal instead of recomputing
-///   --task-deadline=S    per-task wall-clock budget in seconds
-///   --refine             adjoint-gradient spacing refinement of each
-///                        16-chiplet grid winner (optimize/batch)
-///   --refine-tol-mm=T    refinement stopping resolution (default 1e-3)
-///   --metrics[=FILE]     write the metrics registry as JSON (defaults to
-///                        metrics.json inside --run-dir)
-///   --trace[=FILE]       write a Chrome trace_event JSON timeline
-///                        (defaults to trace.json inside --run-dir); see
-///                        docs/OBSERVABILITY.md
+/// Global flags come before the command and hold for every command; the
+/// usage line lists them, generated from the flag table
+/// (src/entry/run_options.hpp).  A bad command line exits 1 with it.
 ///
 /// SIGINT/SIGTERM trip the global cancel token: batch runs stop
 /// dispatching, drain in-flight tasks, flush the journal, and exit 75
@@ -59,8 +27,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -71,12 +37,12 @@
 #include "common/fsck.hpp"
 #include "common/journal.hpp"
 #include "common/lease.hpp"
-#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "core/fabric.hpp"
 #include "core/optimizer.hpp"
 #include "cost/cost_model.hpp"
+#include "entry/run_options.hpp"
 #include "obs/merge.hpp"
 #include "obs/obs.hpp"
 
@@ -89,91 +55,34 @@ using namespace tacos;
 
 namespace {
 
-/// Fault-injection schedule from the --fault-* flags (off by default).
-FaultPlan g_fault;
-
-/// Durable-run knobs from --run-dir/--resume/--task-deadline.
-std::string g_run_dir;
-bool g_resume = false;
-double g_task_deadline_s = 0.0;
-
-/// Sweep-fabric knobs (batch only; docs/ROBUSTNESS.md "The sweep
-/// fabric").  --workers=N forks N worker processes over the shared
-/// --run-dir; --fabric-worker/--fabric-incarnation are the internal flags
-/// the supervisor re-execs workers with (not for interactive use).
-int g_workers = 0;
-std::uint64_t g_lease_ttl_ms = 30'000;
-int g_fabric_worker = -1;
-int g_fabric_incarnation = 0;
-/// Original command line, kept verbatim so the supervisor can re-exec
-/// itself as workers.
+/// The parsed command line: the global flags, shared by every command.
+entry::RunOptions g_opts;
+/// Original command line, kept verbatim so the fabric supervisor can
+/// re-exec itself as workers.
 std::vector<std::string> g_argv;
 
-/// PCG preconditioner from --precond (auto by default, which resolves to
-/// multigrid; jacobi is the reference path).
-PrecondKind g_precond = PrecondKind::kAuto;
+using Args = std::vector<std::string>;
+using entry::positional;
 
-/// Observability knobs from --metrics/--trace (docs/OBSERVABILITY.md).
-obs::ObsOptions g_obs;
-
-/// Evaluation fidelity from --fidelity (docs/PERFORMANCE.md): full runs
-/// every candidate through the leakage fixed point; ladder screens them on
-/// a half-resolution model first; auto picks the ladder whenever that
-/// model can be built (grid >= 16).
-FidelityMode g_fidelity = FidelityMode::kFull;
-/// --surrogate-keep-frac: fraction of confident rejects audited anyway.
-double g_keep_frac = 0.0;
-/// --mg-mixed: single-precision A·z in the MG preconditioner's smoother.
-bool g_mg_mixed = false;
-
-/// --refine: continuous adjoint-gradient spacing refinement of each grid
-/// winner (docs/PERFORMANCE.md "Continuous spacing refinement").
-bool g_refine = false;
-/// --refine-tol-mm: spacing resolution at which the descent stops.
-double g_refine_tol_mm = 1e-3;
-
-int usage() {
-  std::cerr <<
-      "usage: tacos_cli [--threads=N] [--fault-pcg-every=N]"
-      " [--fault-pcg-rungs=K]\n"
-      "                 [--fault-leak-nonconverge]\n"
-      "                 [--run-dir=DIR] [--resume] [--task-deadline=S]\n"
-      "                 [--workers=N] [--lease-ttl-ms=T]\n"
-      "                 [--fault-worker-crash-after=K]"
-      " [--fault-worker-crash-task=BENCH]\n"
-      "                 [--fault-lease-stall-ms=T]\n"
-      "                 [--precond=auto|jacobi|mg] [--mg-mixed]\n"
-      "                 [--fidelity=auto|full|ladder]"
-      " [--surrogate-keep-frac=F]\n"
-      "                 [--refine] [--refine-tol-mm=T]\n"
-      "                 [--metrics[=FILE]] [--trace[=FILE]]"
-      " <command> [args]\n"
-      "  list\n"
-      "  evaluate <bench> <n:1|4|16> <s1> <s2> <s3> <f_idx:0-4> <p>\n"
-      "  baseline <bench> [threshold_c=85]\n"
-      "  optimize <bench> [alpha=1] [beta=0] [threshold_c=85]\n"
-      "  sweep    <bench> <n:4|16> [threshold_c=85]\n"
-      "  cost     <n:4|16> <interposer_mm>\n"
-      "  batch    [alpha=1] [beta=0] [threshold_c=85] [grid=32]"
-      " [step=0.5]\n"
-      "  trace-merge [run-dir] (merge telemetry shards; or --run-dir)\n"
-      "  status   [run-dir]    (live run-status view; or --run-dir)\n"
-      "  fsck     [--fix]      (requires --run-dir)\n";
-  return exit_code::kUsage;
+/// A wrong argument count is a usage error.
+void want_args(const Args& a, std::size_t lo, std::size_t hi) {
+  if (a.size() < lo || a.size() > hi)
+    throw entry::UsageError("wrong number of arguments");
 }
 
+/// The evaluator configuration of every command: the grid, --precond, the
+/// --fault-* plan and --fidelity.
+EvalConfig eval_config(const CancelToken* cancel) {
+  EvalConfig cfg = g_opts.experiment.eval_config(cancel);
+  cfg.thermal.solve.fault = g_opts.fault;
+  cfg.ladder.mode = g_opts.fidelity;
+  return cfg;
+}
+
+/// Interactive commands honor Ctrl-C at solver granularity: the solve
+/// aborts with CancelledError and the process exits 75.
 Evaluator make_evaluator() {
-  EvalConfig cfg;
-  cfg.thermal.grid_nx = cfg.thermal.grid_ny = 32;
-  cfg.thermal.solve.fault = g_fault;
-  cfg.thermal.solve.precond = g_precond;
-  cfg.thermal.solve.mg_mixed_precision = g_mg_mixed;
-  cfg.ladder.mode = g_fidelity;
-  cfg.ladder.keep_frac = g_keep_frac;
-  // Interactive commands honor Ctrl-C at solver granularity: the solve
-  // aborts with CancelledError and the process exits 75.
-  cfg.thermal.solve.cancel = &global_cancel_token();
-  return Evaluator(cfg);
+  return Evaluator(eval_config(&global_cancel_token()));
 }
 
 /// One-line health report after any command that ran the thermal stack.
@@ -183,7 +92,8 @@ void report_health(const Evaluator& eval) {
   obs::record_run_health(eval.health());
 }
 
-int cmd_list() {
+int cmd_list(const Args& a) {
+  want_args(a, 0, 0);
   TextTable t({"benchmark", "suite", "class", "P256_w", "sat_cores",
                "mem_frac"});
   for (const auto& b : benchmarks()) {
@@ -203,13 +113,17 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_evaluate(const std::vector<std::string>& a) {
-  if (a.size() != 7) return usage();
+int cmd_evaluate(const Args& a) {
+  want_args(a, 7, 7);
+  // f_idx parses signed so a negative index stays a domain error.
+  const Organization org{
+      positional<int>(a[1], "n"),
+      Spacing{positional<double>(a[2], "s1"), positional<double>(a[3], "s2"),
+              positional<double>(a[4], "s3")},
+      static_cast<std::size_t>(positional<long>(a[5], "f_idx")),
+      positional<int>(a[6], "p")};
   Evaluator eval = make_evaluator();
   const BenchmarkProfile& bench = benchmark_by_name(a[0]);
-  Organization org{std::stoi(a[1]),
-                   Spacing{std::stod(a[2]), std::stod(a[3]), std::stod(a[4])},
-                   std::stoul(a[5]), std::stoi(a[6])};
   const ThermalEval& te = eval.thermal_eval(org, bench);
   std::cout << "organization: n=" << org.n_chiplets << " s=("
             << org.spacing.s1 << "," << org.spacing.s2 << ","
@@ -226,11 +140,12 @@ int cmd_evaluate(const std::vector<std::string>& a) {
   return exit_code::kOk;
 }
 
-int cmd_baseline(const std::vector<std::string>& a) {
-  if (a.empty()) return usage();
+int cmd_baseline(const Args& a) {
+  want_args(a, 1, 2);
+  const double th =
+      a.size() > 1 ? positional<double>(a[1], "threshold_c") : 85.0;
   Evaluator eval = make_evaluator();
   const BenchmarkProfile& bench = benchmark_by_name(a[0]);
-  const double th = a.size() > 1 ? std::stod(a[1]) : 85.0;
   const BaselinePoint& b = eval.baseline_2d(bench, th);
   if (!b.feasible) {
     std::cout << "no feasible 2D operating point under " << th << " C\n";
@@ -245,17 +160,16 @@ int cmd_baseline(const std::vector<std::string>& a) {
   return exit_code::kOk;
 }
 
-int cmd_optimize(const std::vector<std::string>& a) {
-  if (a.empty()) return usage();
+int cmd_optimize(const Args& a) {
+  want_args(a, 1, 4);
+  ExperimentOptions& x = g_opts.experiment;
+  const double alpha = a.size() > 1 ? positional<double>(a[1], "alpha") : 1.0;
+  const double beta = a.size() > 2 ? positional<double>(a[2], "beta") : 0.0;
+  if (a.size() > 3) x.threshold_c = positional<double>(a[3], "threshold_c");
+  const OptimizerOptions opts =
+      x.optimizer_options(alpha, beta, &global_cancel_token());
   Evaluator eval = make_evaluator();
   const BenchmarkProfile& bench = benchmark_by_name(a[0]);
-  OptimizerOptions opts;
-  opts.alpha = a.size() > 1 ? std::stod(a[1]) : 1.0;
-  opts.beta = a.size() > 2 ? std::stod(a[2]) : 0.0;
-  opts.threshold_c = a.size() > 3 ? std::stod(a[3]) : 85.0;
-  opts.refine = g_refine;
-  opts.refine_tol_mm = g_refine_tol_mm;
-  opts.cancel = &global_cancel_token();
   const OptResult r = optimize_greedy(eval, bench, opts);
   if (!r.found) {
     std::cout << "no feasible organization\n";
@@ -279,13 +193,13 @@ int cmd_optimize(const std::vector<std::string>& a) {
   return exit_code::kOk;
 }
 
-int cmd_sweep(const std::vector<std::string>& a) {
-  if (a.size() < 2) return usage();
+int cmd_sweep(const Args& a) {
+  want_args(a, 2, 3);
+  const int n = positional<int>(a[1], "n");
+  OptimizerOptions opts;
+  if (a.size() > 2) opts.threshold_c = positional<double>(a[2], "threshold_c");
   Evaluator eval = make_evaluator();
   const BenchmarkProfile& bench = benchmark_by_name(a[0]);
-  const int n = std::stoi(a[1]);
-  OptimizerOptions opts;
-  opts.threshold_c = a.size() > 2 ? std::stod(a[2]) : 85.0;
   Rng rng(opts.seed);
   const BaselinePoint& base = eval.baseline_2d(bench, opts.threshold_c);
   TextTable t({"interposer_mm", "max_ips", "vs_2D", "org"});
@@ -312,105 +226,84 @@ int cmd_sweep(const std::vector<std::string>& a) {
 /// token.  Stdout carries only deterministic result rows (table + CSV);
 /// progress and health go to stderr — so a resumed run's stdout is
 /// byte-identical to an uninterrupted one.
-int cmd_batch(const std::vector<std::string>& a) {
-  if (a.size() > 5) return usage();
-  EvalConfig cfg;
-  cfg.thermal.grid_nx = cfg.thermal.grid_ny =
-      a.size() > 3 ? std::stoul(a[3]) : 32;
-  cfg.thermal.solve.fault = g_fault;
-  cfg.thermal.solve.precond = g_precond;
-  cfg.thermal.solve.mg_mixed_precision = g_mg_mixed;
-  cfg.ladder.mode = g_fidelity;
-  cfg.ladder.keep_frac = g_keep_frac;
-  OptimizerOptions opts;
-  opts.alpha = !a.empty() ? std::stod(a[0]) : 1.0;
-  opts.beta = a.size() > 1 ? std::stod(a[1]) : 0.0;
-  opts.threshold_c = a.size() > 2 ? std::stod(a[2]) : 85.0;
-  opts.step_mm = a.size() > 4 ? std::stod(a[4]) : 0.5;
-  opts.refine = g_refine;
-  opts.refine_tol_mm = g_refine_tol_mm;
+/// batch's arguments: [alpha] [beta] into the optimizer options returned,
+/// [threshold_c] [grid] [step] into g_opts.experiment.  main() also parses
+/// them before it opens the journal, so a bad one touches no run dir.
+OptimizerOptions batch_args(const Args& a) {
+  want_args(a, 0, 5);
+  ExperimentOptions& x = g_opts.experiment;
+  const double alpha = a.size() > 0 ? positional<double>(a[0], "alpha") : 1.0;
+  const double beta = a.size() > 1 ? positional<double>(a[1], "beta") : 0.0;
+  if (a.size() > 2) x.threshold_c = positional<double>(a[2], "threshold_c");
+  // grid parses signed, like f_idx: a negative grid stays a domain error.
+  if (a.size() > 3)
+    x.grid = static_cast<std::size_t>(positional<long>(a[3], "grid"));
+  if (a.size() > 4) x.opt_step_mm = positional<double>(a[4], "step");
+  return x.optimizer_options(alpha, beta);
+}
+
+int cmd_batch(const Args& a) {
+  const OptimizerOptions opts = batch_args(a);
+  const EvalConfig cfg = eval_config(nullptr);
+  ExperimentOptions& x = g_opts.experiment;
 
   std::vector<std::string> names;
   for (const auto& b : benchmarks()) names.emplace_back(b.name);
 
   FabricOptions fab;
-  fab.workers = g_workers;
-  fab.lease_ttl_ms = g_lease_ttl_ms;
-  fab.task_deadline_s = g_task_deadline_s;
+  fab.workers = g_opts.workers;
+  fab.lease_ttl_ms = g_opts.lease_ttl_ms;
+  fab.task_deadline_s = x.run.task_deadline_s;
 
-  if (g_fabric_worker >= 0) {
+  if (g_opts.fabric_worker >= 0) {
     // Worker process of a --workers=N sweep: run the claim → run →
     // publish loop against the shared run dir and exit.  The canonical
     // journal stays the supervisor's (it holds the lock); this process
     // journals into its own shard.
-    if (g_run_dir.empty()) {
-      std::cerr << "--fabric-worker requires --run-dir=DIR\n";
-      return exit_code::kUsage;
-    }
+    if (g_opts.run_dir.empty())
+      throw entry::UsageError("--fabric-worker requires --run-dir=DIR");
     const WorkerReport rep = run_fabric_worker(
-        cfg, names, opts, g_run_dir, g_fabric_worker, g_fabric_incarnation,
-        fab, g_fault, &global_cancel_token());
+        cfg, names, opts, g_opts.run_dir, g_opts.fabric_worker,
+        g_opts.fabric_incarnation, fab, g_opts.fault, &global_cancel_token());
     std::cerr << "[fabric "
-              << fabric_worker_name(g_fabric_worker, g_fabric_incarnation)
+              << fabric_worker_name(g_opts.fabric_worker,
+                                    g_opts.fabric_incarnation)
               << "] claimed " << rep.claimed << ", published "
               << rep.published << ", fenced " << rep.fenced << ", reclaimed "
               << rep.reclaims << "\n";
     return rep.interrupted ? exit_code::kInterrupted : exit_code::kOk;
   }
 
-  std::unique_ptr<RunJournal> journal;
-  if (!g_run_dir.empty()) {
-    journal = std::make_unique<RunJournal>(g_run_dir);
-    const RunJournal::LoadStats st = journal->load();
-    if (st.dropped > 0)
-      std::cerr << "[journal] dropped " << st.dropped
-                << " torn/corrupt record(s); their tasks will be"
-                   " recomputed\n";
-    if (journal->size() > 0 && !g_resume) {
-      std::cerr << "run directory " << g_run_dir
-                << " already holds a journal (" << journal->task_count()
-                << " completed task(s)); pass --resume to continue it or"
-                   " use a fresh --run-dir\n";
-      return exit_code::kUsage;
-    }
-    if (g_resume)
-      std::cerr << "[journal] resuming: " << journal->task_count()
-                << " task(s) already complete in " << g_run_dir << "\n";
-  } else if (g_resume) {
-    std::cerr << "--resume requires --run-dir=DIR\n";
-    return exit_code::kUsage;
-  }
-  const RunControl run{journal.get(), &global_cancel_token(),
-                       g_task_deadline_s};
+  // main() opened --run-dir's journal (entry::open_run_dir).
+  RunJournal* const journal = g_opts.journal.get();
+  x.run.cancel = &global_cancel_token();
 
   RunHealth fabric_health;
-  if (g_workers > 0) {
+  if (g_opts.workers > 0) {
     // Supervisor of a multi-process sweep: fork workers over the shared
     // run dir, ride out crashes, and merge the winning shard rows into
     // the canonical journal.  The optimize_greedy_batch call below then
     // replays that journal, so stdout is byte-identical to a
     // single-process run at any worker count.
-    if (!journal) {
-      std::cerr << "--workers requires --run-dir=DIR\n";
-      return exit_code::kUsage;
-    }
+    if (!journal) throw entry::UsageError("--workers requires --run-dir=DIR");
     const FabricReport fr =
-        run_fabric_sweep(cfg, names, opts, *journal, g_run_dir, fab, g_argv,
-                         &global_cancel_token());
+        run_fabric_sweep(cfg, names, opts, *journal, g_opts.run_dir, fab,
+                         g_argv, &global_cancel_token());
     if (fr.interrupted) {
       std::cerr << "[fabric] interrupted; shards and lease log are on disk"
-                   " — resume with --run-dir=" << g_run_dir
-                << " --resume --workers=" << g_workers << "\n";
+                   " — resume with --run-dir=" << g_opts.run_dir
+                << " --resume --workers=" << g_opts.workers << "\n";
       return exit_code::kInterrupted;
     }
     std::cerr << "[fabric] merged " << fr.merged << " task(s) from "
-              << g_workers << " worker(s); " << fr.health.summary() << "\n";
+              << g_opts.workers << " worker(s); " << fr.health.summary()
+              << "\n";
     fabric_health = fr.health;
   }
 
   EvalStats stats;
   const std::vector<OptResult> results =
-      optimize_greedy_batch(cfg, names, opts, &stats, &run);
+      optimize_greedy_batch(cfg, names, opts, &stats, &x.run);
 
   TextTable t({"benchmark", "org", "interposer_mm", "peak_c", "ips",
                "cost", "objective", "status"});
@@ -444,9 +337,9 @@ int cmd_batch(const std::vector<std::string>& a) {
   if (stats.ladder.any()) {
     const LadderStats& l = stats.ladder;
     std::cerr << "ladder: " << l.screened << " screened, " << l.rejected
-              << " rejected, " << l.promoted << " promoted (" << l.audits
-              << " audit(s)), " << l.medium_solves << " medium solve(s), "
-              << l.medium_failures << " rung failure(s)\n";
+              << " rejected, " << l.promoted << " promoted, "
+              << l.medium_solves << " medium solve(s), " << l.medium_failures
+              << " rung failure(s)\n";
   }
   if (stats.refine.any()) {
     const RefineStats& rf = stats.refine;
@@ -461,7 +354,7 @@ int cmd_batch(const std::vector<std::string>& a) {
     std::cerr << "[run] interrupted";
     if (journal)
       std::cerr << "; completed tasks are journaled — resume with"
-                   " --run-dir=" << g_run_dir << " --resume";
+                   " --run-dir=" << g_opts.run_dir << " --resume";
     std::cerr << "\n";
     return exit_code::kInterrupted;
   }
@@ -470,23 +363,22 @@ int cmd_batch(const std::vector<std::string>& a) {
 
 /// The run dir a read-only telemetry command operates on: the positional
 /// argument when given, else --run-dir.
-std::string telemetry_dir(const std::vector<std::string>& a) {
-  if (a.size() == 1) return a[0];
-  if (a.empty()) return g_run_dir;
-  return {};
+std::string telemetry_dir(const Args& a, const char* cmd) {
+  want_args(a, 0, 1);
+  const std::string dir = a.empty() ? g_opts.run_dir : a[0];
+  if (dir.empty())
+    throw entry::UsageError(std::string(cmd) +
+                            " requires a run directory (argument or"
+                            " --run-dir=DIR)");
+  return dir;
 }
 
 /// Merge the per-process trace/metrics shards of a run directory into
 /// `trace-merged.json` / `metrics-merged.json` (docs/OBSERVABILITY.md,
 /// "Distributed tracing").  Read-only with respect to the run's durable
 /// state; deterministic for a given shard set.
-int cmd_trace_merge(const std::vector<std::string>& a) {
-  const std::string dir = telemetry_dir(a);
-  if (dir.empty()) {
-    std::cerr << "trace-merge requires a run directory (argument or"
-                 " --run-dir=DIR)\n";
-    return exit_code::kUsage;
-  }
+int cmd_trace_merge(const Args& a) {
+  const std::string dir = telemetry_dir(a, "trace-merge");
   const obs::TraceMergeResult tr = obs::merge_trace_shards(dir);
   TextTable t({"shard", "pid", "process", "events", "state"});
   for (const obs::TraceShard& s : tr.shards)
@@ -528,13 +420,8 @@ bool pid_alive(long pid) {
 /// merged health counters of a run directory.  Strictly read-only
 /// — safe to point at a directory another process is actively writing —
 /// and exits 0 on live, finished, and dead runs alike.
-int cmd_status(const std::vector<std::string>& a) {
-  const std::string dir = telemetry_dir(a);
-  if (dir.empty()) {
-    std::cerr << "status requires a run directory (argument or"
-                 " --run-dir=DIR)\n";
-    return exit_code::kUsage;
-  }
+int cmd_status(const Args& a) {
+  const std::string dir = telemetry_dir(a, "status");
 
   // Liveness: the canonical journal's lockfile holds its owner's pid.
   std::string state = "idle";
@@ -635,19 +522,12 @@ int cmd_status(const std::vector<std::string>& a) {
 }
 
 /// Validate --run-dir's durable files; `--fix` repairs them in place.
-int cmd_fsck(const std::vector<std::string>& a) {
-  bool fix = false;
-  for (const std::string& s : a) {
-    if (s == "--fix")
-      fix = true;
-    else
-      return usage();
-  }
-  if (g_run_dir.empty()) {
-    std::cerr << "fsck requires --run-dir=DIR\n";
-    return exit_code::kUsage;
-  }
-  const FsckReport rep = fsck_run_dir(g_run_dir, fix);
+int cmd_fsck(const Args& a) {
+  for (const std::string& arg : a)
+    entry::apply_flag(arg, entry::kFix, g_opts);
+  if (g_opts.run_dir.empty())
+    throw entry::UsageError("fsck requires --run-dir=DIR");
+  const FsckReport rep = fsck_run_dir(g_opts.run_dir, g_opts.fix);
   TextTable t({"file", "kind", "valid", "corrupt", "torn_tail", "state"});
   for (const FsckFile& f : rep.files)
     t.add_row({f.name,
@@ -660,7 +540,7 @@ int cmd_fsck(const std::vector<std::string>& a) {
                : f.corrupt == 0 ? "clean"
                : f.advisory   ? "advisory"
                               : "DAMAGED"});
-  t.print("fsck " + g_run_dir);
+  t.print("fsck " + g_opts.run_dir);
   if (!rep.clean()) {
     std::cerr << "fsck: " << rep.total_corrupt()
               << " damaged line(s); rerun with --fix to truncate/repair\n";
@@ -670,10 +550,10 @@ int cmd_fsck(const std::vector<std::string>& a) {
   return exit_code::kOk;
 }
 
-int cmd_cost(const std::vector<std::string>& a) {
-  if (a.size() != 2) return usage();
-  const int n = std::stoi(a[0]);
-  const double w = std::stod(a[1]);
+int cmd_cost(const Args& a) {
+  want_args(a, 2, 2);
+  const int n = positional<int>(a[0], "n");
+  const double w = positional<double>(a[1], "interposer_mm");
   const SystemSpec spec;
   const double edge = spec.chip_edge_mm() / (n == 4 ? 2 : 4);
   const CostBreakdown b = cost_breakdown_25d(n, edge * edge, w * w);
@@ -688,133 +568,97 @@ int cmd_cost(const std::vector<std::string>& a) {
   return 0;
 }
 
+/// The subcommands, in usage order.
+struct Command {
+  const char* name;
+  const char* args;
+  const char* help;
+  int (*run)(const Args&);
+};
+const Command kCommands[] = {
+    {"list", "", "benchmarks and DVFS levels", cmd_list},
+    {"evaluate", "<bench> <n:1|4|16> <s1> <s2> <s3> <f_idx:0-4> <p>",
+     "one organization end to end", cmd_evaluate},
+    {"baseline", "<bench> [threshold_c=85]", "best 2D operating point",
+     cmd_baseline},
+    {"optimize", "<bench> [alpha=1] [beta=0] [threshold_c=85]",
+     "multi-start greedy (§III-D)", cmd_optimize},
+    {"sweep", "<bench> <n:4|16> [threshold_c=85]",
+     "max IPS vs interposer size", cmd_sweep},
+    {"cost", "<n:4|16> <interposer_mm>", "Eq. (4) breakdown", cmd_cost},
+    {"batch", "[alpha=1] [beta=0] [threshold_c=85] [grid=32] [step=0.5]",
+     "optimize every benchmark (durable with --run-dir; --workers=N forks)",
+     cmd_batch},
+    {"trace-merge", "[run-dir]",
+     "merge per-process telemetry shards (default --run-dir)",
+     cmd_trace_merge},
+    {"status", "[run-dir]",
+     "live run status: progress, worker leases, health (default --run-dir)",
+     cmd_status},
+    {"fsck", "[--fix]",
+     "validate (--fix: repair) --run-dir's durable files; exit 65 on damage",
+     cmd_fsck},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  int first = 1;
-  // Global options, in any order before the command.  --threads=N sizes
-  // the evaluation engine's pool (TACOS_THREADS is the equivalent knob);
-  // the --fault-* flags arm the deterministic fault-injection plan that
-  // every command's Evaluator inherits (docs/ROBUSTNESS.md).
-  while (first < argc && std::string(argv[first]).rfind("--", 0) == 0) {
-    const std::string flag = argv[first];
-    if (flag.rfind("--threads=", 0) == 0) {
-      const std::optional<long> n = parse_number<long>(flag.substr(10));
-      if (!n || *n < 1) return usage();
-      ThreadPool::set_global_threads(static_cast<std::size_t>(*n));
-    } else if (flag.rfind("--fault-pcg-every=", 0) == 0) {
-      const std::optional<long> n = parse_number<long>(flag.substr(18));
-      if (!n || *n < 1) return usage();
-      g_fault.pcg_fail_every = static_cast<std::size_t>(*n);
-    } else if (flag.rfind("--fault-pcg-rungs=", 0) == 0) {
-      const std::optional<int> n = parse_number<int>(flag.substr(18));
-      if (!n || *n < 1) return usage();
-      g_fault.pcg_fail_rungs = *n;
-    } else if (flag == "--fault-leak-nonconverge") {
-      g_fault.leak_force_nonconverge = true;
-    } else if (flag.rfind("--fidelity=", 0) == 0) {
-      const std::optional<FidelityMode> m =
-          parse_fidelity_mode(flag.substr(11));
-      if (!m) return usage();
-      g_fidelity = *m;
-    } else if (flag.rfind("--surrogate-keep-frac=", 0) == 0) {
-      const std::optional<double> f = parse_number<double>(flag.substr(22));
-      if (!f || *f < 0.0 || *f > 1.0) return usage();
-      g_keep_frac = *f;
-    } else if (flag == "--mg-mixed") {
-      g_mg_mixed = true;
-    } else if (flag == "--refine") {
-      g_refine = true;
-    } else if (flag.rfind("--refine-tol-mm=", 0) == 0) {
-      const std::optional<double> t = parse_number<double>(flag.substr(16));
-      if (!t || *t <= 0.0) return usage();
-      g_refine_tol_mm = *t;
-    } else if (flag.rfind("--workers=", 0) == 0) {
-      const std::optional<int> n = parse_number<int>(flag.substr(10));
-      if (!n || *n < 1) return usage();
-      g_workers = *n;
-    } else if (flag.rfind("--lease-ttl-ms=", 0) == 0) {
-      const std::optional<long> n = parse_number<long>(flag.substr(15));
-      if (!n || *n < 1) return usage();
-      g_lease_ttl_ms = static_cast<std::uint64_t>(*n);
-    } else if (flag.rfind("--fault-worker-crash-after=", 0) == 0) {
-      const std::optional<long> n = parse_number<long>(flag.substr(27));
-      if (!n || *n < 1) return usage();
-      g_fault.worker_crash_after = static_cast<std::size_t>(*n);
-    } else if (flag.rfind("--fault-worker-crash-task=", 0) == 0) {
-      g_fault.worker_crash_task = flag.substr(26);
-      if (g_fault.worker_crash_task.empty()) return usage();
-    } else if (flag.rfind("--fault-lease-stall-ms=", 0) == 0) {
-      const std::optional<long> n = parse_number<long>(flag.substr(23));
-      if (!n || *n < 1) return usage();
-      g_fault.lease_stall_ms = static_cast<std::uint64_t>(*n);
-    } else if (flag.rfind("--fabric-worker=", 0) == 0) {
-      const std::optional<int> n = parse_number<int>(flag.substr(16));
-      if (!n || *n < 0) return usage();
-      g_fabric_worker = *n;
-    } else if (flag.rfind("--fabric-incarnation=", 0) == 0) {
-      const std::optional<int> n = parse_number<int>(flag.substr(21));
-      if (!n || *n < 0) return usage();
-      g_fabric_incarnation = *n;
-    } else if (flag.rfind("--run-dir=", 0) == 0) {
-      g_run_dir = flag.substr(10);
-    } else if (flag == "--resume") {
-      g_resume = true;
-    } else if (flag.rfind("--task-deadline=", 0) == 0) {
-      const std::optional<double> d = parse_number<double>(flag.substr(16));
-      if (!d || *d < 0.0) return usage();
-      g_task_deadline_s = *d;
-    } else if (flag.rfind("--precond=", 0) == 0) {
-      if (!parse_precond_name(flag.substr(10), &g_precond)) return usage();
-    } else if (g_obs.parse_flag(flag)) {
-      // consumed by the observability layer
-    } else {
-      return usage();
-    }
-    ++first;
-  }
-  if (argc - first < 1) return usage();
+  // The usage line's positionals, then the command list after the flags.
+  std::string commands = "<command> [args]\ncommands:\n";
+  for (const Command& c : kCommands)
+    commands += std::string("  ") + c.name + (*c.args ? " " : "") + c.args +
+                "\n      " + c.help + '\n';
+  const auto usage = [&](const std::string& why) {
+    std::cerr << why << '\n'
+              << entry::usage_text(argv[0], entry::kCliFlags, commands);
+    return exit_code::kUsage;
+  };
+  const Args cmdline = entry::parse_args(argc, argv, entry::kCliFlags, commands,
+                                         g_opts, /*flags_first=*/true);
+  if (cmdline.empty()) return usage("missing command");
+  const std::string& cmd = cmdline[0];
+  const Command* command = nullptr;
+  for (const Command& c : kCommands)
+    if (cmd == c.name) command = &c;
+  if (!command) return usage("unknown command: " + cmd);
+  // TACOS_THREADS is the environment's --threads.
+  if (g_opts.threads > 0) ThreadPool::set_global_threads(g_opts.threads);
   g_argv.assign(argv, argv + argc);
-  const std::string cmd = argv[first];
-  if (g_fabric_worker >= 0) {
+  if (g_opts.fabric_worker >= 0) {
     // Fabric workers publish per-process telemetry shards — shard-suffix
     // redirection forces trace-w<k>.json / metrics-w<k>.json inside the
     // run dir, so N workers never clobber the supervisor's artifacts and
     // `tacos_cli trace-merge` can join them into one timeline.
-    g_obs.shard_suffix = "w" + std::to_string(g_fabric_worker);
+    g_opts.obs.shard_suffix = "w" + std::to_string(g_opts.fabric_worker);
   } else if (cmd == "status" || cmd == "trace-merge") {
     // Read-only commands must not create, preload, or republish telemetry
     // artifacts in a directory they merely inspect.
-    g_obs = obs::ObsOptions{};
+    g_opts.obs = obs::ObsOptions{};
   }
-  g_obs.finalize(g_run_dir, g_resume);
-  install_signal_handlers();
-  std::vector<std::string> args(argv + first + 1, argv + argc);
+  const Args args(cmdline.begin() + 1, cmdline.end());
   int rc;
   try {
-    // Root span: every hot-path span nests under run.main, so per-phase
-    // self-times in the metrics artifact sum to ~the command's wall time.
-    static obs::SpanSite root_site("run.main", "run");
-    obs::TraceSpan root(root_site);
-    root.arg("cmd", cmd);
-    if (cmd == "list") rc = cmd_list();
-    else if (cmd == "evaluate") rc = cmd_evaluate(args);
-    else if (cmd == "baseline") rc = cmd_baseline(args);
-    else if (cmd == "optimize") rc = cmd_optimize(args);
-    else if (cmd == "sweep") rc = cmd_sweep(args);
-    else if (cmd == "cost") rc = cmd_cost(args);
-    else if (cmd == "batch") rc = cmd_batch(args);
-    else if (cmd == "trace-merge") rc = cmd_trace_merge(args);
-    else if (cmd == "status") rc = cmd_status(args);
-    else if (cmd == "fsck") rc = cmd_fsck(args);
-    else rc = usage();
+    // Only batch journals (a fabric worker into its own shard).
+    const bool journals = cmd == "batch" && g_opts.fabric_worker < 0;
+    if (journals) batch_args(args);
+    rc = entry::open_run_dir(g_opts, journals);
+    if (rc == exit_code::kOk) {
+      install_signal_handlers();
+      // Root span: every hot-path span nests under run.main, so per-phase
+      // self-times in the metrics artifact sum to ~the command's wall time.
+      static obs::SpanSite root_site("run.main", "run");
+      obs::TraceSpan root(root_site);
+      root.arg("cmd", cmd);
+      rc = command->run(args);
+    }
+  } catch (const entry::UsageError& e) {
+    rc = usage(e.what());
   } catch (const std::exception& e) {
     // One structured line per failure, one exit code per error class, so
     // scripts can branch on the failure kind without parsing messages.
     std::cerr << diagnostic_line(e) << "\n";
     rc = exit_code_for(e);
   }
-  if (g_obs.any()) g_obs.publish();
+  if (g_opts.obs.any()) g_opts.obs.publish();
   return rc;
 }
